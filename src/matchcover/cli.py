@@ -1,11 +1,13 @@
 """Command-line interface.
 
-One subcommand per library operation.  Exit codes: 0 success, 1 the
-analysis came back negative (not an r-graph, bound unmet, no double
-cover, membership failure), 2 usage or input error, 3 a configured cap
-was exhausted.  JSON reports follow one schema for every subcommand:
-command, graph {n, m, source}, params, result, certificates, and a
-machine-parsable exit_reason; rationals are reduced 'p/q' strings.
+One subcommand per library operation, each a handler in one table.
+Exit codes: 0 success, 1 the analysis came back negative (not an
+r-graph, bound unmet, no double cover, membership failure), 2 usage or
+input error, 3 a configured cap was exhausted, 4 an internal error (the
+traceback goes to stderr).  A graph comes from exactly one of --gen,
+--input or --corpus.  JSON reports follow one schema for every
+subcommand: command, graph {n, m, source}, params, result, certificates,
+and a machine-parsable exit_reason; rationals are reduced 'p/q' strings.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from .bounds import (
     product_bound,
     small_k_bound,
 )
-from .cover import EXACT_LEMMA, FAST, MODES, audits_pass, greedy_cover
+from .cover import FAST, MODES, audits_pass, greedy_cover
 from .errors import (
     CapExceededError,
     EdgeListError,
@@ -42,46 +46,13 @@ from .multigraph import Multigraph, parse_edge_list, serialize
 from .oddcuts import is_r_graph
 
 
-def _frac(f: Fraction) -> str:
-    return format_fraction(f)
-
-
-def _vset(s) -> list[int]:
-    return sorted(s)
-
-
-def _matching_json(m) -> list[int]:
-    return list(m.edge_ids)
-
-
-def _audit_json(families):
-    if families is None:
-        return None
-    return [
-        {
-            "cardinality": f.cardinality,
-            "clause": f.clause,
-            "num_cuts": f.num_cuts,
-            "worst": f.worst,
-            "status": f.status,
-            "witness": _vset(f.witness) if f.witness is not None else None,
-        }
-        for f in families
-    ]
-
-
-def _cert_json(c):
-    return {
-        "step": c.step,
-        "level": c.level,
-        "membership_verified": c.membership_verified,
-        "tight_honored": c.tight_honored,
-        "predicted_gain": _frac(c.predicted_gain),
-        "actual_gain": c.actual_gain,
-        "covered_after": c.covered_after,
-        "stalled": c.stalled,
-        "audit": _audit_json(c.audit),
-    }
+def _json_default(obj):
+    """JSON form of the exact values in certificates: 'p/q' and sorted sets."""
+    if isinstance(obj, Fraction):
+        return format_fraction(obj)
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _audit_text(families) -> str:
@@ -101,7 +72,7 @@ def _audit_text(families) -> str:
         else:
             parts.append(
                 f"{f.cardinality}-cuts: VIOLATED {f.clause}, total {f.worst} "
-                f"on {{{', '.join(map(str, _vset(f.witness)))}}}"
+                f"on {{{', '.join(map(str, sorted(f.witness)))}}}"
             )
     return "audit: " + "; ".join(parts)
 
@@ -117,6 +88,8 @@ class _Failure(Exception):
 
 
 def _classify(exc: Exception) -> _Failure:
+    """Exit code and reason for any exception a run raises; an unknown one
+    is an internal error, reported with its traceback on stderr."""
     if isinstance(exc, _Failure):
         return exc
     if isinstance(exc, EdgeListError):
@@ -124,13 +97,8 @@ def _classify(exc: Exception) -> _Failure:
     if isinstance(exc, GeneratorError):
         return _Failure(2, f"generator: {exc}")
     if isinstance(exc, NotRGraphError):
-        res = {}
-        if exc.witness is not None:
-            res = {
-                "witness": _vset(exc.witness),
-                "cut_value": _frac(exc.value),
-            }
-        return _Failure(1, f"not-r-graph: {exc}", res)
+        res = {"witness": exc.witness, "cut_value": exc.value}
+        return _Failure(1, f"not-r-graph: {exc}", res if exc.witness is not None else {})
     if isinstance(exc, NotRegularError):
         return _Failure(1, f"not-regular: {exc}")
     if isinstance(exc, UncoverableEdgeError):
@@ -143,7 +111,8 @@ def _classify(exc: Exception) -> _Failure:
         return _Failure(3, f"cap: {exc}")
     if isinstance(exc, (ValueError, OSError)):
         return _Failure(2, f"usage: {exc}")
-    raise exc
+    traceback.print_exception(type(exc), exc, exc.__traceback__)
+    return _Failure(4, f"internal: {type(exc).__name__}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,13 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_graph_opts(sp, corpus=True):
+    def add_graph_opts(sp):
         sp.add_argument("--gen", metavar="NAME[:P1,P2]",
                         help=f"generator spec; one of: {', '.join(generator_names())}")
         sp.add_argument("--input", metavar="FILE", help="edge-list file")
-        if corpus:
-            sp.add_argument("--corpus", metavar="DIR",
-                            help="run over every edge-list file in DIR")
+        sp.add_argument("--corpus", metavar="DIR",
+                        help="run over every edge-list file in DIR")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for random generators")
 
@@ -225,15 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_graph(args) -> tuple[Multigraph, str]:
-    gen = getattr(args, "gen", None)
-    inp = getattr(args, "input", None)
+def _load_graph(args) -> tuple[Multigraph | None, str | None]:
+    """The graph named by the graph options and its source, or (None, None)
+    when the subcommand has none.  A --corpus that reaches here was not run
+    as a corpus: it is combined with another source or is no directory."""
+    if not hasattr(args, "gen"):
+        return None, None
+    gen, inp = args.gen, getattr(args, "input", None)
+    corpus = getattr(args, "corpus", None)
+    if corpus and (gen is not None or inp is not None):
+        raise _Failure(2, "usage: --corpus cannot be combined with --gen or --input")
+    if corpus:
+        raise _Failure(2, f"usage: corpus directory not found: {corpus}")
     if (gen is None) == (inp is None):
         raise _Failure(2, "usage: exactly one of --gen or --input is required")
     if gen is not None:
-        return from_spec(gen, seed=getattr(args, "seed", None)), f"gen:{gen}"
-    path = Path(inp)
-    return parse_edge_list(path.read_text()), f"file:{inp}"
+        return from_spec(gen, seed=args.seed), f"gen:{gen}"
+    return parse_edge_list(Path(inp).read_text()), f"file:{inp}"
 
 
 def _params_json(args) -> dict:
@@ -244,22 +220,24 @@ def _params_json(args) -> dict:
     return out
 
 
+def _cmd_gen(g: Multigraph, args):
+    text = serialize(g)
+    return 0, {"edge_list": text}, None, [text.rstrip("\n")]
+
+
 def _cmd_check(g: Multigraph, args):
     ok, cut = is_r_graph(g, args.r)
     if cut is None:
         return 0, {"r_graph": True}, None, ["r-graph: yes (empty graph)"]
-    result = {
-        "r_graph": ok,
-        "min_odd_cut": _frac(cut.value),
-        "witness": _vset(cut.witness),
-    }
+    value = format_fraction(cut.value)
+    result = {"r_graph": ok, "min_odd_cut": value, "witness": sorted(cut.witness)}
     if ok:
-        return 0, result, None, [f"r-graph: yes (min odd cut {_frac(cut.value)})"]
+        return 0, result, None, [f"r-graph: yes (min odd cut {value})"]
     text = [
-        f"r-graph: no (odd cut of value {_frac(cut.value)} < {args.r}; "
-        f"witness {{{', '.join(map(str, _vset(cut.witness)))}}})"
+        f"r-graph: no (odd cut of value {value} < {args.r}; "
+        f"witness {{{', '.join(map(str, sorted(cut.witness)))}}})"
     ]
-    raise _Failure(1, f"not-r-graph: min odd cut {_frac(cut.value)} < {args.r}",
+    raise _Failure(1, f"not-r-graph: min odd cut {value} < {args.r}",
                    {**result, "text": text})
 
 
@@ -273,24 +251,26 @@ def _cover_text(rep) -> list[str]:
             flags.append("membership-failed")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         lines.append(
-            f"step {c.step}: level {c.level} predicted {_frac(c.predicted_gain)} "
+            f"step {c.step}: level {c.level} "
+            f"predicted {format_fraction(c.predicted_gain)} "
             f"actual {c.actual_gain} covered {c.covered_after}{suffix}"
         )
         lines.append("  " + _audit_text(c.audit))
     verdict = "yes" if rep.bound_met else "NO"
     lines.append(
-        f"covered {len(rep.state.covered)}/{rep.state.graph.m} = {_frac(rep.fraction)}"
-        f" (bound {_frac(rep.bound)}: {verdict})"
+        f"covered {len(rep.state.covered)}/{rep.state.graph.m} = "
+        f"{format_fraction(rep.fraction)} "
+        f"(bound {format_fraction(rep.bound)}: {verdict})"
     )
     return lines
 
 
 def _cover_result(rep) -> dict:
     return {
-        "matchings": [_matching_json(m) for m in rep.matchings],
+        "matchings": [list(m.edge_ids) for m in rep.matchings],
         "covered": len(rep.state.covered),
-        "fraction": _frac(rep.fraction),
-        "bound": _frac(rep.bound),
+        "fraction": format_fraction(rep.fraction),
+        "bound": format_fraction(rep.bound),
         "bound_met": rep.bound_met,
         "all_l1": rep.all_l1,
     }
@@ -299,11 +279,11 @@ def _cover_result(rep) -> dict:
 def _cmd_cover(g: Multigraph, args):
     rep = greedy_cover(g, args.r, args.k, mode=args.mode,
                        pm_cap=args.pm_cap, odd_cap=args.odd_cap)
-    certs = [_cert_json(c) for c in rep.certificates]
+    certs = [asdict(c) for c in rep.certificates]
     result = _cover_result(rep)
     text = _cover_text(rep)
     if not rep.bound_met:
-        raise _Failure(1, f"bound-unmet: {_frac(rep.fraction)} < {_frac(rep.bound)}",
+        raise _Failure(1, f"bound-unmet: {result['fraction']} < {result['bound']}",
                        {**result, "certificates": certs, "text": text})
     return 0, result, certs, text
 
@@ -316,13 +296,13 @@ def _cmd_exact(g: Multigraph, args):
     if args.k is not None:
         cov = m_exact(g, args.k, pm_cap=args.pm_cap)
         result["k"] = args.k
-        result["fraction"] = _frac(cov.fraction)
+        result["fraction"] = format_fraction(cov.fraction)
         result["witness_indices"] = list(cov.witness_indices)
-        result["matchings"] = [_matching_json(m) for m in cov.matchings]
+        result["matchings"] = [list(m.edge_ids) for m in cov.matchings]
         result["pm_count"] = cov.pm_count
         dec, _ = approx_decimal(cov.fraction)
         text.append(
-            f"best {args.k}-cover fraction: {_frac(cov.fraction)} (~{dec}) "
+            f"best {args.k}-cover fraction: {format_fraction(cov.fraction)} (~{dec}) "
             f"over {cov.pm_count} matchings; witness indices {list(cov.witness_indices)}"
         )
     if args.excessive:
@@ -335,12 +315,12 @@ def _cmd_exact(g: Multigraph, args):
     return 0, result, None, text
 
 
-def _cmd_bounds(args):
+def _cmd_bounds(_g, args):
     if args.table:
         rows = bound_table()
         result = [
-            {"r": r, "k": k, "bound": _frac(b), "decimal": approx_decimal(b)[0],
-             "exact": approx_decimal(b)[1]}
+            {"r": r, "k": k, "bound": format_fraction(b),
+             "decimal": approx_decimal(b)[0], "exact": approx_decimal(b)[1]}
             for r, k, b in rows
         ]
         text = []
@@ -350,7 +330,8 @@ def _cmd_bounds(args):
                 if rr != r:
                     continue
                 dec, exact = approx_decimal(b)
-                cells.append(f"k={k}: {_frac(b)} ({'=' if exact else '~'}{dec})")
+                cells.append(
+                    f"k={k}: {format_fraction(b)} ({'=' if exact else '~'}{dec})")
             text.append(f"r={r}:  " + "; ".join(cells))
         return 0, {"table": result}, None, text
     if args.r is None or args.k is None:
@@ -358,8 +339,8 @@ def _cmd_bounds(args):
     result = {
         "r": args.r,
         "k": args.k,
-        "product": _frac(product_bound(args.r, args.k)),
-        "geometric": _frac(geometric_bound(args.r, args.k)),
+        "product": format_fraction(product_bound(args.r, args.k)),
+        "geometric": format_fraction(geometric_bound(args.r, args.k)),
     }
     text = [
         f"product bound: {result['product']} "
@@ -369,8 +350,8 @@ def _cmd_bounds(args):
     ]
     if args.k <= 2 * args.r - 1:
         sk = small_k_bound(args.r, args.k)
-        result["small_k"] = _frac(sk)
-        text.append(f"small-k bound: {_frac(sk)} (~{approx_decimal(sk)[0]})")
+        result["small_k"] = format_fraction(sk)
+        text.append(f"small-k bound: {format_fraction(sk)} (~{approx_decimal(sk)[0]})")
     return 0, result, None, text
 
 
@@ -379,16 +360,16 @@ def _cmd_decompose(g: Multigraph, args):
     dec = decompose(g, w, cap=args.pm_cap)
     result = {
         "terms": [
-            {"coefficient": _frac(c), "matching": _matching_json(m)}
+            {"coefficient": format_fraction(c), "matching": list(m.edge_ids)}
             for m, c in dec.terms
         ],
         "num_terms": len(dec.terms),
-        "coefficients_sum": _frac(dec.coefficients_sum()),
+        "coefficients_sum": format_fraction(dec.coefficients_sum()),
     }
     text = [f"decomposed the uniform vector into {len(dec.terms)} matchings "
             "(reconstruction verified exactly)"]
     for m, c in dec.terms:
-        text.append(f"  {_frac(c)} * edges {list(m.edge_ids)}")
+        text.append(f"  {format_fraction(c)} * edges {list(m.edge_ids)}")
     return 0, result, None, text
 
 
@@ -397,7 +378,7 @@ def _cmd_multicolor(g: Multigraph, args):
     result = {
         "p": mc.p,
         "num_matchings": len(mc.matchings),
-        "matchings": [_matching_json(m) for m in mc.matchings],
+        "matchings": [list(m.edge_ids) for m in mc.matchings],
     }
     text = [
         f"p = {mc.p}: {len(mc.matchings)} matchings "
@@ -411,7 +392,7 @@ def _cmd_bf_search(g: Multigraph, args):
     if res.found:
         result = {
             "found": True,
-            "matchings": [_matching_json(m) for m in res.matchings],
+            "matchings": [list(m.edge_ids) for m in res.matchings],
             "pm_count": res.pm_count,
             "nodes": res.nodes,
         }
@@ -438,8 +419,8 @@ def _cmd_audit(g: Multigraph, args):
         raise CapExceededError(
             f"audit needs an exhaustive scan; n = {g.n} exceeds odd-cap {args.odd_cap}"
         )
-    result = {"audit": _audit_json(fams), "mode": args.mode,
-              "fraction": _frac(rep.fraction)}
+    result = {"audit": [asdict(f) for f in fams], "mode": args.mode,
+              "fraction": format_fraction(rep.fraction)}
     text = [_audit_text(fams)]
     if not audits_pass(fams):
         raise _Failure(1, "audit-violation: some cut family broke its clause",
@@ -447,145 +428,102 @@ def _cmd_audit(g: Multigraph, args):
     return 0, result, None, text
 
 
-_GRAPH_COMMANDS = {
+_COMMANDS = {
+    "gen": _cmd_gen,
     "check": _cmd_check,
     "cover": _cmd_cover,
     "exact": _cmd_exact,
+    "bounds": _cmd_bounds,
     "decompose": _cmd_decompose,
     "multicolor": _cmd_multicolor,
     "bf-search": _cmd_bf_search,
     "audit": _cmd_audit,
 }
 
-
-def _report(command, args, graph_meta, result, certificates, reason) -> dict:
-    return {
-        "command": command,
-        "graph": graph_meta,
-        "params": _params_json(args),
-        "result": result,
-        "certificates": certificates or [],
-        "exit_reason": reason,
-    }
+_OUTCOMES = {0: "ok", 1: "negative", 2: "error", 3: "capped", 4: "error"}
 
 
-def _emit(args, report: dict, text: list[str], code: int):
+def _emit(args, report: dict, text: list[str], error: str | None = None):
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, default=_json_default))
     else:
         for line in text:
             print(line)
-        if code != 0:
-            print(f"error: {report['exit_reason']}", file=sys.stderr)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
 
 
-def _run_single(args, g: Multigraph, source: str) -> tuple[int, dict, list[str]]:
-    meta = {"n": g.n, "m": g.m, "source": source}
-    handler = _GRAPH_COMMANDS[args.command]
+def _run(args, load, meta=None) -> tuple[int, dict, list[str]]:
+    """Load the graph, run the subcommand's handler and classify any failure.
+
+    `load` returns (graph, source) as `_load_graph` does; `meta` is the
+    graph entry of the report when loading fails.
+    """
     try:
-        code, result, certs, text = handler(g, args)
-        report = _report(args.command, args, meta, result, certs, "ok")
-        return code, report, text
-    except Exception as exc:  # noqa: BLE001 - classified and re-raised if unknown
+        g, source = load()
+        if g is not None:
+            meta = {"n": g.n, "m": g.m, "source": source}
+        code, result, certs, text = _COMMANDS[args.command](g, args)
+        reason = "ok"
+    except Exception as exc:  # noqa: BLE001 - every failure maps to an exit code
         fail = _classify(exc)
-        text = fail.result.pop("text", [])
-        certs = fail.result.pop("certificates", [])
-        report = _report(args.command, args, meta, fail.result, certs, fail.reason)
-        return fail.code, report, text
+        code, reason, result = fail.code, fail.reason, fail.result
+        text = result.pop("text", [])
+        certs = result.pop("certificates", None)
+    report = {
+        "command": args.command,
+        "graph": meta,
+        "params": _params_json(args),
+        "result": result,
+        "certificates": certs or [],
+        "exit_reason": reason,
+    }
+    return code, report, text
+
+
+def _run_corpus(args, directory: Path) -> int:
+    files = sorted(
+        f for f in directory.iterdir() if f.is_file() and not f.name.startswith(".")
+    )
+    worst = 0
+    reports = []
+    all_text = []
+    counts = {"ok": 0, "negative": 0, "error": 0, "capped": 0}
+    for f in files:
+        source = f"file:{f}"
+        code, rep, text = _run(args, lambda: (parse_edge_list(f.read_text()), source),
+                               {"n": None, "m": None, "source": source})
+        reports.append(rep)
+        all_text.append(f"== {f.name} ==")
+        all_text.extend(text)
+        if code != 0:
+            all_text.append(f"  ({rep['exit_reason']})")
+        counts[_OUTCOMES[code]] += 1
+        worst = max(worst, code)
+    all_text.append(
+        f"corpus: {len(files)} files, {counts['ok']} ok, "
+        f"{counts['negative']} negative, {counts['error']} errors, "
+        f"{counts['capped']} capped"
+    )
+    batch = {
+        "command": args.command,
+        "corpus": str(directory),
+        "params": _params_json(args),
+        "reports": reports,
+        "summary": {"files": len(files), **counts},
+        "exit_reason": "ok" if worst == 0 else f"corpus-worst-exit: {worst}",
+    }
+    _emit(args, batch, all_text)
+    return worst
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "bounds":
-        try:
-            code, result, _, text = _cmd_bounds(args)
-            report = _report("bounds", args, None, result, None, "ok")
-        except Exception as exc:  # noqa: BLE001
-            fail = _classify(exc)
-            report = _report("bounds", args, None, fail.result, None, fail.reason)
-            code, text = fail.code, []
-        _emit(args, report, text, code)
-        return code
-
-    if args.command == "gen":
-        try:
-            g = from_spec(args.gen, seed=args.seed)
-            meta = {"n": g.n, "m": g.m, "source": f"gen:{args.gen}"}
-            report = _report("gen", args, meta, {"edge_list": serialize(g)}, None, "ok")
-            _emit(args, report, [serialize(g).rstrip("\n")], 0)
-            return 0
-        except Exception as exc:  # noqa: BLE001
-            fail = _classify(exc)
-            report = _report("gen", args, None, fail.result, None, fail.reason)
-            _emit(args, report, [], fail.code)
-            return fail.code
-
+    args = build_parser().parse_args(argv)
     corpus = getattr(args, "corpus", None)
-    if corpus:
-        directory = Path(corpus)
-        if not directory.is_dir():
-            report = _report(args.command, args, None, {}, None,
-                             f"usage: corpus directory not found: {corpus}")
-            _emit(args, report, [], 2)
-            return 2
-        files = sorted(
-            f for f in directory.iterdir() if f.is_file() and not f.name.startswith(".")
-        )
-        worst = 0
-        reports = []
-        all_text = []
-        counts = {"ok": 0, "negative": 0, "error": 0, "capped": 0}
-        for f in files:
-            try:
-                g = parse_edge_list(f.read_text())
-            except Exception as exc:  # noqa: BLE001
-                fail = _classify(exc)
-                rep = _report(args.command, args,
-                              {"n": None, "m": None, "source": f"file:{f}"},
-                              fail.result, None, fail.reason)
-                code, text = fail.code, []
-            else:
-                code, rep, text = _run_single(args, g, f"file:{f}")
-            reports.append(rep)
-            all_text.append(f"== {f.name} ==")
-            all_text.extend(text)
-            if code != 0:
-                all_text.append(f"  ({rep['exit_reason']})")
-            key = {0: "ok", 1: "negative", 2: "error", 3: "capped"}[code]
-            counts[key] += 1
-            worst = max(worst, code)
-        summary = {"files": len(files), **counts}
-        all_text.append(
-            f"corpus: {len(files)} files, {counts['ok']} ok, "
-            f"{counts['negative']} negative, {counts['error']} errors, "
-            f"{counts['capped']} capped"
-        )
-        batch = {
-            "command": args.command,
-            "corpus": str(directory),
-            "params": _params_json(args),
-            "reports": reports,
-            "summary": summary,
-            "exit_reason": "ok" if worst == 0 else f"corpus-worst-exit: {worst}",
-        }
-        if args.format == "json":
-            print(json.dumps(batch, indent=2))
-        else:
-            for line in all_text:
-                print(line)
-        return worst
-
-    try:
-        g, source = _load_graph(args)
-    except Exception as exc:  # noqa: BLE001
-        fail = _classify(exc)
-        report = _report(args.command, args, None, fail.result, None, fail.reason)
-        _emit(args, report, [], fail.code)
-        return fail.code
-    code, report, text = _run_single(args, g, source)
-    _emit(args, report, text, code)
+    if corpus and args.gen is None and args.input is None and Path(corpus).is_dir():
+        return _run_corpus(args, Path(corpus))
+    code, report, text = _run(args, lambda: _load_graph(args))
+    _emit(args, report, text, report["exit_reason"] if code else None)
     return code
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from matchcover import k4, parse_edge_list, petersen, random_regular, serialize
+from matchcover import cli
 from matchcover.cli import main
 
 from helpers import BOUND_TABLE
@@ -328,3 +329,52 @@ def test_console_script_installed(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "r-graph: yes (min odd cut 3)\n"
+
+
+def _boom(g, args):
+    raise AssertionError("boom")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setitem(cli._COMMANDS, "check", _boom)
+    code, out, err = run(capsys, ["check", "-r", "3", "--gen", "petersen"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("AssertionError: boom\nerror: internal: AssertionError: boom\n")
+
+    code = main(["--format", "json", "check", "-r", "3", "--gen", "petersen"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" in err
+    rep = json.loads(out)
+    assert rep["exit_reason"] == "internal: AssertionError: boom"
+    assert rep["graph"] == {"n": 10, "m": 15, "source": "gen:petersen"}
+    assert rep["result"] == {} and rep["certificates"] == []
+
+
+def test_internal_error_in_corpus_counts_and_continues(capsys, monkeypatch,
+                                                       mixed_corpus_dir):
+    check = cli._COMMANDS["check"]
+    monkeypatch.setitem(cli._COMMANDS, "check",
+                        lambda g, args: _boom(g, args) if g.m == 6 else check(g, args))
+    code, rep = run_json(capsys, ["check", "-r", "3", "--corpus", str(mixed_corpus_dir)])
+    assert code == 4
+    assert rep["summary"] == {"files": 3, "ok": 1, "negative": 1, "error": 1, "capped": 0}
+    assert [r["exit_reason"].split(":")[0] for r in rep["reports"]] == [
+        "internal", "ok", "not-r-graph",
+    ]
+    assert rep["exit_reason"] == "corpus-worst-exit: 4"
+
+
+def test_corpus_excludes_other_sources(capsys, clean_corpus_dir, tmp_path):
+    corpus = ["--corpus", str(clean_corpus_dir)]
+    reason = "usage: --corpus cannot be combined with --gen or --input"
+    for source in (["--gen", "petersen"], ["--input", str(tmp_path / "none.txt")],
+                   ["--gen", "petersen", "--input", str(tmp_path / "none.txt")]):
+        code, out, err = run(capsys, ["check", "-r", "3"] + source + corpus)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+        code, rep = run_json(capsys, ["check", "-r", "3"] + corpus + source)
+        assert code == 2
+        assert rep["exit_reason"] == reason
+        assert rep["graph"] is None and rep["result"] == {}
