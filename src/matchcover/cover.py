@@ -11,9 +11,10 @@ Each iteration j picks a perfect matching and certifies its gain:
 
 Two modes:
 
-* 'fast' picks a maximum-gain perfect matching outright (blossom +
-  lexicographic fixing).  Cheap, scales, and certificate levels report
-  honestly whatever membership turns out to be.
+* 'fast' picks a maximum-gain perfect matching outright (one blossom
+  call on id-perturbed weights, lexicographically least among ties).
+  Cheap, scales, and certificate levels report honestly whatever
+  membership turns out to be.
 * 'exact-lemma' restricts each pick to matchings crossing every tight
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the

@@ -2,22 +2,22 @@
 
 A Matching stores sorted edge ids only; the graph is passed where
 needed.  Enumeration is the oracle route (complete, deterministic,
-capped).  `max_weight_perfect_matching` is the production route: it
-calls the blossom algorithm on an integer-scaled weight vector, then
-pins down the lexicographically least maximizer by fixing edge ids in
-increasing order, so its output never depends on library internals.
+capped).  `max_weight_perfect_matching` is the production route: one
+blossom call on integer weights perturbed by edge id, whose unique
+maximum is the lexicographically least maximum-weight perfect matching,
+so the output never depends on how the library breaks ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import networkx as nx
 
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
+from .oddcuts import scale_weights
 
 
 @dataclass(frozen=True)
@@ -129,89 +129,45 @@ def enumerate_perfect_matchings(
     return tuple(Matching(ids) for ids in sorted(tuple(sorted(f)) for f in found))
 
 
-def _scale_signed(weights, m: int) -> tuple[list[int], int]:
-    """Integer-scale a rational weight vector (negatives allowed here)."""
-    fr = [Fraction(w) for w in weights]
-    if len(fr) != m:
-        raise ValueError(f"expected {m} weights, got {len(fr)}")
-    den = lcm(*(f.denominator for f in fr)) if fr else 1
-    return [int(f * den) for f in fr], den
-
-
-def _best_value(g: Multigraph, iw: list[int], excluded: frozenset[int]) -> int | None:
-    """Max total integer weight over perfect matchings of g minus `excluded`.
-
-    None when the remaining vertices admit no perfect matching.  Among
-    parallel edges only the heaviest matters for the value.
-    """
-    active = [v for v in range(g.n) if v not in excluded]
-    if not active:
-        return 0
-    best_pair: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if u in excluded or v in excluded:
-            continue
-        cur = best_pair.get((u, v))
-        if cur is None or iw[eid] > cur:
-            best_pair[(u, v)] = iw[eid]
-    sim = nx.Graph()
-    sim.add_nodes_from(active)
-    shift = -min((w for w in best_pair.values()), default=0)
-    if shift < 0:
-        shift = 0
-    for (u, v), w in best_pair.items():
-        sim.add_edge(u, v, weight=w + shift)
-    mate = nx.max_weight_matching(sim, maxcardinality=True)
-    if 2 * len(mate) < len(active):
-        return None
-    return sum(best_pair[(min(u, v), max(u, v))] for u, v in mate)
-
-
 def max_weight_value(g: Multigraph, weights) -> Fraction | None:
     """Maximum total weight of a perfect matching, or None if none exists."""
-    if g.n % 2 != 0:
+    try:
+        return matching_weight(max_weight_perfect_matching(g, weights), weights)
+    except NoPerfectMatchingError:
         return None
-    iw, den = _scale_signed(weights, g.m)
-    best = _best_value(g, iw, frozenset())
-    return None if best is None else Fraction(best, den)
 
 
 def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
     """The lexicographically least maximum-weight perfect matching.
 
-    The blossom call fixes the optimal value; edge ids are then fixed
-    in increasing order, keeping an id exactly when some maximizer
-    contains everything fixed so far plus that id.  At most m+1 blossom
-    calls.  Raises NoPerfectMatchingError when no perfect matching
-    exists (odd n included).
+    One exact blossom call on W_e = w_e*2^m + 2^(m-1-e), where w is the
+    weight vector shifted to be nonnegative (every perfect matching has
+    n/2 edges, so the shift keeps the order) and scaled to integers.
+    The perturbations of a matching sum to less than 2^m, so they never
+    reorder matchings of different weight; among equal weights they
+    favour the largest edge-indicator vector read from edge 0, which for
+    equal-size edge sets is the least sorted id tuple.  Distinct edge
+    sets get distinct perturbations, so the maximum is unique.  Of
+    parallel edges only the copy with the largest W_e can be in it, so
+    the simple graph keeps that copy and its id.  Raises
+    NoPerfectMatchingError when no perfect matching exists (odd n
+    included).
     """
     if g.n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    if g.n == 0:
-        return Matching(())
-    iw, _ = _scale_signed(weights, g.m)
-    target = _best_value(g, iw, frozenset())
-    if target is None:
+    fr = [Fraction(w) for w in weights]
+    low = min(fr, default=0)
+    nums, _ = scale_weights([f - low for f in fr], g.m)
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        pw = (nums[eid] << g.m) + (1 << (g.m - 1 - eid))
+        if (u, v) not in best or pw > best[(u, v)][0]:
+            best[(u, v)] = (pw, eid)
+    sim = nx.Graph()
+    sim.add_nodes_from(range(g.n))
+    for (u, v), (pw, _) in best.items():
+        sim.add_edge(u, v, weight=pw)
+    mate = nx.max_weight_matching(sim, maxcardinality=True)
+    if 2 * len(mate) < g.n:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    chosen: list[int] = []
-    covered: set[int] = set()
-    partial = 0
-    next_id = 0
-    while len(covered) < g.n:
-        fixed = None
-        for e in range(next_id, g.m):
-            u, v = g.edges[e]
-            if u in covered or v in covered:
-                continue
-            rest = _best_value(g, iw, frozenset(covered | {u, v}))
-            if rest is not None and partial + iw[e] + rest == target:
-                fixed = e
-                break
-        if fixed is None:
-            raise AssertionError("lexicographic fixing lost the optimum")
-        u, v = g.edges[fixed]
-        chosen.append(fixed)
-        covered.update((u, v))
-        partial += iw[fixed]
-        next_id = fixed + 1
-    return Matching(tuple(chosen))
+    return Matching(tuple(best[(min(u, v), max(u, v))][1] for u, v in mate))

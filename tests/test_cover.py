@@ -1,5 +1,6 @@
 """Greedy cover, its certificates, and the odd-cut family audits."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from matchcover import (
     k33,
     petersen,
     prism,
+    random_regular,
 )
 from matchcover.cover import EXACT_LEMMA, FAST
 from matchcover.multigraph import Multigraph
@@ -131,6 +133,23 @@ def test_runs_share_prefixes():
     long = greedy_cover(petersen(), 3, 6, mode=EXACT_LEMMA)
     assert long.matchings[:3] == short.matchings
     assert long.certificates[:3] == short.certificates[:3]
+
+
+# sha256 of repr(tuple of edge_ids of the k = 8 fast-mode matchings),
+# recorded with the lexicographic-fixing matching route
+FAST_COVER_PINS = {
+    (64, 3, 0): "acec5ae32c6386930712fde296a94404c7f9c0b1513e7041cb243f364ced0787",
+    (64, 3, 1): "2e411e2b898ad91282ac75c4c4ebeebc6bea7f804646b40fb1ade23a3e0e5999",
+    (48, 4, 0): "9fe6cccef252a6de094ff8b2be1e99efb783fb2d05352ce850b6ce85b07b2ab0",
+    (48, 4, 1): "47c005e2e498c7504e029d98e6dbca62683e15b0f9682501f653cede1869c28d",
+}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(FAST_COVER_PINS))
+def test_fast_cover_matchings_pinned_at_scale(n, r, seed):
+    rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
+    ids = tuple(m.edge_ids for m in rep.matchings)
+    assert hashlib.sha256(repr(ids).encode()).hexdigest() == FAST_COVER_PINS[(n, r, seed)]
 
 
 def test_audit_detects_clause_violation():

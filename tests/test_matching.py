@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcover import (
     CapExceededError,
@@ -105,6 +107,8 @@ def test_max_weight_value_unit_weights():
     assert max_weight_value(k4(), [1] * 6) == 2
     assert max_weight_value(TWO_TRIANGLES, [1] * 6) is None
     assert max_weight_value(Multigraph(3, ((0, 1), (1, 2), (0, 2))), [1, 1, 1]) is None
+    assert max_weight_value(Multigraph(2, ()), []) is None
+    assert max_weight_value(Multigraph(4, ((0, 1), (0, 1))), [-1, 2]) is None
 
 
 def test_max_weight_no_matching_raises():
@@ -112,6 +116,10 @@ def test_max_weight_no_matching_raises():
         max_weight_perfect_matching(TWO_TRIANGLES, [1] * 6)
     with pytest.raises(NoPerfectMatchingError):
         max_weight_perfect_matching(Multigraph(3, ((0, 1), (1, 2), (0, 2))), [1, 1, 1])
+    with pytest.raises(NoPerfectMatchingError):
+        max_weight_perfect_matching(Multigraph(2, ()), [])
+    with pytest.raises(NoPerfectMatchingError):
+        max_weight_perfect_matching(Multigraph(4, ((0, 1), (0, 1))), [-1, 2])
 
 
 def test_max_weight_empty_graph():
@@ -138,3 +146,46 @@ def test_max_weight_agrees_with_enumeration():
             assert matching_weight(got, w) == best
             lex = min(m.edge_ids for m in pms if matching_weight(m, w) == best)
             assert got.edge_ids == lex
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """Small loop-free multigraphs with signed rational weights.
+
+    Degrees are arbitrary and parallel edges common.  Most draws plant a
+    perfect matching (shuffled among the other edges), so both outcomes,
+    a maximizer and NoPerfectMatchingError, are well represented.
+    """
+    n = max(2 * draw(st.integers(0, 5)) - draw(st.sampled_from((0, 0, 0, 1))), 0)
+    edges = []
+    if n >= 2:
+        if n % 2 == 0 and draw(st.sampled_from((True, True, True, False))):
+            perm = draw(st.permutations(range(n)))
+            edges += [(perm[i], perm[i + 1]) for i in range(0, n, 2)]
+        extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        edges += [(u, (u + d) % n) for u, d in draw(st.lists(extra, max_size=20))]
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        edges = draw(st.permutations(edges))
+    weights = draw(
+        st.lists(st.fractions(-5, 5, max_denominator=6), min_size=len(edges), max_size=len(edges))
+    )
+    return Multigraph(n, tuple(edges)), weights
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(weighted_multigraphs())
+def test_max_weight_is_lex_least_maximizer_of_enumeration(gw):
+    g, w = gw
+    try:
+        pms = enumerate_perfect_matchings(g)
+    except NoPerfectMatchingError:
+        pms = ()
+    if not pms:
+        with pytest.raises(NoPerfectMatchingError):
+            max_weight_perfect_matching(g, w)
+        assert max_weight_value(g, w) is None
+        return
+    best = max(matching_weight(m, w) for m in pms)
+    lex = min(m.edge_ids for m in pms if matching_weight(m, w) == best)
+    assert max_weight_perfect_matching(g, w).edge_ids == lex
+    assert max_weight_value(g, w) == best
