@@ -286,7 +286,10 @@ def greedy_cover(
             tight_honored = True
         else:
             weights = [0 if e in state.covered else 1 for e in range(g.m)]
-            chosen = max_weight_perfect_matching(g, weights)
+            if certs and certs[-1].stalled:  # same weights as the last step
+                chosen = state.matchings[-1]
+            else:
+                chosen = max_weight_perfect_matching(g, weights)
             best_gain = sum(1 for e in chosen.edge_ids if e not in state.covered)
             tight_honored = None
         if verified:

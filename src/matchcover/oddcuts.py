@@ -5,8 +5,10 @@ routes are provided and kept deliberately independent:
 
 * `min_odd_cut` is the production path: a Gomory-Hu tree per
   positive-weight component, then a scan of the odd fundamental cuts
-  (the classical reduction: the minimum odd cut is always a fundamental
-  cut of the tree).  Scales to every size this package targets.
+  (Padberg-Rao: a minimum odd cut is always a fundamental cut of the
+  tree).  The tree is Gusfield's, built on flat integer arc arrays with
+  Edmonds-Karp flows; it equals the tree networkx's gomory_hu_tree
+  builds.  Scales to every size this package targets.
 
 * `min_odd_cut_brute` scans all odd subsets directly and is the oracle
   the production path is tested against.  It is exact and vectorized,
@@ -14,8 +16,10 @@ routes are provided and kept deliberately independent:
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
-the side of the cut not containing vertex 0, and among equal-value
-minimizers the lexicographically least sorted vertex tuple.
+the side of the cut not containing vertex 0, with the lexicographically
+least sorted vertex tuple among equal-value candidates.  The candidates
+are all odd sets for `min_odd_cut_brute` but only the tree's odd
+fundamental cuts for `min_odd_cut`, so their witnesses can differ.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.flow import edmonds_karp
 
 from .errors import CapExceededError, NotRegularError
 from .multigraph import Multigraph
@@ -121,15 +123,8 @@ def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
 
 
 def _decode(code: int) -> frozenset[int]:
-    s = set()
-    v = 1
     c = int(code)
-    while c:
-        if c & 1:
-            s.add(v)
-        c >>= 1
-        v += 1
-    return frozenset(s)
+    return frozenset(v + 1 for v in range(c.bit_length()) if c >> v & 1)
 
 
 def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
@@ -210,6 +205,7 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
     component the minimum odd cut is one of the tree's odd fundamental
     cuts.  Candidate values are recomputed directly from the graph, so
     the returned value always equals weight(boundary(witness)) exactly.
+    The witness is lex-least among those cuts, not among all minimizers.
     """
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
@@ -218,15 +214,7 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
         if len(comp) % 2 == 1:
             candidates.append((0, frozenset(comp)))
             continue
-        gh = nx.Graph()
-        gh.add_nodes_from(comp)
-        for eid, (u, v) in enumerate(g.edges):
-            if nums[eid] > 0 and u in comp:
-                if gh.has_edge(u, v):
-                    gh[u][v]["capacity"] += nums[eid]
-                else:
-                    gh.add_edge(u, v, capacity=nums[eid])
-        tree = nx.gomory_hu_tree(gh, flow_func=edmonds_karp)
+        tree = _gomory_hu_tree(g, nums, comp)
         for side in _odd_fundamental_sides(tree, comp):
             candidates.append((_boundary_value(g, nums, side), side))
     best = min(v for v, _ in candidates)
@@ -236,27 +224,80 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
     return OddCutResult(Fraction(best, den), witness)
 
 
-def _odd_fundamental_sides(tree: nx.Graph, comp: set[int]):
-    """Odd-cardinality fundamental cut sides of a Gomory-Hu tree."""
+def _gomory_hu_tree(g: Multigraph, nums: list[int], comp: set[int]):
+    """Gomory-Hu tree of comp as a child -> parent dict, exactly networkx's.
+
+    Gusfield's method with networkx's vertex order (that of comp, from a
+    star at its first vertex) and relabelling rules.  Arc a and its
+    reverse a ^ 1 carry one edge, parallel edges summed into exact ints.
+    """
+    order = list(comp)
+    index = {v: i for i, v in enumerate(order)}
+    caps: dict[tuple[int, int], int] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        if nums[eid] > 0 and u in index:
+            key = (min(index[u], index[v]), max(index[u], index[v]))
+            caps[key] = caps.get(key, 0) + nums[eid]
+    head = [x for a, b in caps for x in (b, a)]
+    cap = [c for c in caps.values() for _ in (0, 1)]
+    out = [[] for _ in order]
+    for arc in range(len(head)):
+        out[head[arc ^ 1]].append(arc)
+    tree = [0] * len(order)
+    for source in range(1, len(order)):
+        target = tree[source]
+        sink = _sink_side(head, cap, out, source, target)
+        for node in range(1, len(order)):
+            if node != source and tree[node] == target and node not in sink:
+                tree[node] = source
+        if target != 0 and tree[target] not in sink:
+            tree[source], tree[target] = tree[target], source
+    return {order[i]: order[tree[i]] for i in range(1, len(order))}
+
+
+def _sink_side(head, cap, out, s: int, t: int) -> set[int]:
+    """The vertices that can reach t in the residual graph of a maximum s-t flow.
+
+    networkx's minimum_cut puts all others on the source side; the set
+    is the same for every maximum flow.  Edmonds-Karp pushes the flow
+    from t to s, whose residual graph is the reverse of the s-t one, so
+    the last, failing search from t reaches exactly this set.
+    """
+    res = cap[:]
+    while True:
+        pred, queue = [-1] * len(out), [t]
+        pred[t] = t
+        for x in queue:
+            for a in out[x]:
+                if res[a] and pred[head[a]] == -1:
+                    pred[head[a]] = a
+                    queue.append(head[a])
+            if pred[s] != -1:
+                break
+        else:
+            return set(queue)
+        path, v = [], s
+        while v != t:
+            path.append(pred[v])
+            v = head[pred[v] ^ 1]
+        f = min(res[a] for a in path)
+        for a in path:
+            res[a] -= f
+            res[a ^ 1] += f
+
+
+def _odd_fundamental_sides(tree: dict[int, int], comp: set[int]):
+    """Odd fundamental cut sides (those without min(comp)) of a child -> parent tree."""
+    below = {v: {v} for v in comp}
+    for v in tree:
+        u = v
+        while u in tree:
+            u = tree[u]
+            below[u].add(v)
     root = min(comp)
-    parent = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in tree.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-    subtree = {v: {v} for v in comp}
-    for v in reversed(order):
-        p = parent[v]
-        if p is not None:
-            subtree[p] |= subtree[v]
-    for v in order:
-        if parent[v] is not None and len(subtree[v]) % 2 == 1:
-            yield frozenset(subtree[v])
+    for v in tree:
+        if len(below[v]) % 2 == 1:
+            yield frozenset(comp - below[v] if root in below[v] else below[v])
 
 
 def is_r_graph(g: Multigraph, r: int) -> tuple[bool, OddCutResult | None]:

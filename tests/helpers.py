@@ -10,6 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import networkx as nx
+from networkx.algorithms.flow import edmonds_karp
+
 from matchcover import (
     Multigraph,
     bridge_pair,
@@ -19,6 +22,15 @@ from matchcover import (
     petersen,
     prism,
     random_regular,
+)
+from matchcover.oddcuts import (
+    OddCutResult,
+    _boundary_value,
+    _canonical,
+    _lex_key,
+    _positive_weight_components,
+    _require_even,
+    scale_weights,
 )
 
 RANDOM_SPECS = (
@@ -109,3 +121,37 @@ PETERSEN_M_EXACT = {
     4: Fraction(14, 15),
     5: Fraction(1),
 }
+
+
+def min_odd_cut_networkx(g: Multigraph, weights) -> OddCutResult:
+    """Oracle for `min_odd_cut`: the same candidate scan over networkx's
+    Gomory-Hu tree (Edmonds-Karp flows), rooted at min(comp) per component."""
+    _require_even(g)
+    nums, den = scale_weights(weights, g.m)
+    candidates = []
+    for comp in _positive_weight_components(g, nums):
+        if len(comp) % 2 == 1:
+            candidates.append((0, frozenset(comp)))
+            continue
+        gh = nx.Graph()
+        gh.add_nodes_from(comp)
+        for eid, (u, v) in enumerate(g.edges):
+            if nums[eid] > 0 and u in comp:
+                if gh.has_edge(u, v):
+                    gh[u][v]["capacity"] += nums[eid]
+                else:
+                    gh.add_edge(u, v, capacity=nums[eid])
+        tree = nx.gomory_hu_tree(gh, flow_func=edmonds_karp)
+        parent = dict(nx.bfs_predecessors(tree, min(comp)))  # in BFS order
+        below = {v: {v} for v in comp}
+        for v in reversed(parent):
+            below[parent[v]] |= below[v]
+        for v in parent:
+            if len(below[v]) % 2 == 1:
+                side = frozenset(below[v])
+                candidates.append((_boundary_value(g, nums, side), side))
+    best = min(v for v, _ in candidates)
+    witness = min(
+        (_canonical(g.n, s) for v, s in candidates if v == best), key=_lex_key
+    )
+    return OddCutResult(Fraction(best, den), witness)

@@ -14,6 +14,7 @@ from matchcover import (
     audit_cut_invariants,
     audits_pass,
     bridge_pair,
+    build_w_k,
     dipole,
     greedy_cover,
     k4,
@@ -21,9 +22,11 @@ from matchcover import (
     petersen,
     prism,
     random_regular,
+    uniform,
 )
 from matchcover.cover import EXACT_LEMMA, FAST
 from matchcover.multigraph import Multigraph
+from matchcover.oddcuts import min_odd_cut
 
 from helpers import PETERSEN_PMS
 
@@ -150,6 +153,33 @@ def test_fast_cover_matchings_pinned_at_scale(n, r, seed):
     rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
     ids = tuple(m.edge_ids for m in rep.matchings)
     assert hashlib.sha256(repr(ids).encode()).hexdigest() == FAST_COVER_PINS[(n, r, seed)]
+
+
+# sha256 of repr(per step: level, membership_verified, actual_gain, stalled,
+# and the value and sorted witness of min_odd_cut on that step's w_k) for
+# the k = 8 fast covers, recorded with the networkx Gomory-Hu route
+FAST_COVER_CERT_PINS = {
+    (100, 3, 0): "194bdcb1dd727eee9ebb5b69d46ebb10195055a14d4a4ee56c7a3a8561823980",
+    (100, 3, 1): "336b52b64e39d176f39224a75f629fc71e128d4df5d6945c2722f5e811dc179d",
+    (80, 4, 0): "d9ddedee11e17c657447df457610584b0665aea1bd477013c2395bcc8c52c4f3",
+    (80, 4, 1): "0807411853743e7fedd052bac1510c031e46d1f329b9a5e3ea2c9b8814a74d29",
+}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(FAST_COVER_CERT_PINS))
+def test_fast_cover_certificates_pinned_at_scale(n, r, seed):
+    g = random_regular(n, r, seed)
+    rep = greedy_cover(g, r, 8, mode=FAST)
+    state = CoverState.initial(g)
+    rows = []
+    for step, (c, m) in enumerate(zip(rep.certificates, rep.matchings), 1):
+        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        cut = min_odd_cut(g, w.values)
+        rows.append((c.level, c.membership_verified, c.actual_gain, c.stalled,
+                     str(cut.value), tuple(sorted(cut.witness))))
+        state = state.extend(m)
+    digest = hashlib.sha256(repr(tuple(rows)).encode()).hexdigest()
+    assert digest == FAST_COVER_CERT_PINS[(n, r, seed)]
 
 
 def test_audit_detects_clause_violation():

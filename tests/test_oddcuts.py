@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchcover import (
     CapExceededError,
@@ -25,7 +27,7 @@ from matchcover.oddcuts import (
     tight_odd_cuts,
 )
 
-from helpers import corpus
+from helpers import corpus, min_odd_cut_networkx
 
 
 def cut_weight(g, weights, side):
@@ -82,6 +84,74 @@ def test_production_matches_brute_force():
             for res in (a, b):
                 assert len(res.witness) % 2 == 1
                 assert cut_weight(g, w, res.witness) == res.value
+
+
+@st.composite
+def nonnegative_weighted_multigraphs(draw):
+    """Loop-free multigraphs on even n <= 14 with nonnegative rational weights.
+
+    The vertices, shuffled, fall into blocks, mostly of even size: a
+    positive-weight path through each block plus random chords, and
+    zero-weight edges between blocks.  So the positive-weight subgraph
+    often has several components, with any vertex ids, and odd ones
+    (zero-value cuts) occur too.  Parallel edges are common, and small
+    integer weights make equal-value cuts common.
+    """
+    n = 2 * draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    step = draw(st.sampled_from((2, 2, 1)))
+    splits = range(step, n, step) or [n]
+    ends = sorted(draw(st.sets(st.sampled_from(splits), max_size=3)) | {n})
+    blocks = [perm[a:b] for a, b in zip([0] + ends, ends)]
+    weight = draw(st.sampled_from(
+        (st.integers(1, 2).map(Fraction), st.fractions(0, 4, max_denominator=6))
+    ))
+    edges, weights = [], []
+    for block in blocks:
+        size = len(block)
+        edges += [(block[i], block[i + 1]) for i in range(size - 1)]
+        if size > 1:
+            pair = st.tuples(st.integers(0, size - 1), st.integers(1, size - 1))
+            chords = draw(st.lists(pair, max_size=2 * size))
+            edges += [(block[i], block[(i + d) % size]) for i, d in chords]
+        new = len(edges) - len(weights)
+        weights += draw(st.lists(weight, min_size=new, max_size=new))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    for u, d in draw(st.lists(pair, max_size=n)):
+        edges.append((u, (u + d) % n))
+        weights.append(Fraction(0))
+    twins = draw(st.lists(st.integers(0, len(edges) - 1), max_size=n)) if edges else []
+    edges += [edges[i] for i in twins]
+    weights += [weights[i] for i in twins]
+    order = draw(st.permutations(range(len(edges))))
+    return Multigraph(n, tuple(edges[i] for i in order)), [weights[i] for i in order]
+
+
+def weighted(n, edges, weights):
+    return Multigraph(n, tuple(edges)), [Fraction(x) for x in weights]
+
+
+# Rare in random draws: components whose set order does not start at their
+# minimum vertex (the tree's vertex order and its rooting show), and
+# equal-value minimum s-t cuts (the choice of source side shows).
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(nonnegative_weighted_multigraphs())
+@example(weighted(14, [(6, 9), (1, 8), (0, 2), (3, 4), (5, 7), (10, 11), (12, 13)], [1] * 7))
+@example(weighted(
+    14,
+    [(0, 10), (10, 2), (8, 0), (0, 8), (0, 10), (2, 8), (1, 3), (4, 5), (6, 7), (9, 11), (12, 13)],
+    [1, 2, 1, 1, 1, 2, 5, 5, 5, 5, 5],
+))
+@example(weighted(
+    14,
+    [(9, 3), (9, 13), (13, 10), (13, 9), (10, 3), (0, 1), (2, 4), (5, 6), (7, 8), (11, 12)],
+    [2, 1, 2, 1, 2, 5, 5, 5, 5, 5],
+))
+def test_min_odd_cut_matches_networkx_tree_and_brute_force(gw):
+    g, w = gw
+    res = min_odd_cut(g, w)
+    assert res == min_odd_cut_networkx(g, w)
+    assert res.value == min_odd_cut_brute(g, w).value
 
 
 def test_tight_cuts_petersen_uniform():
