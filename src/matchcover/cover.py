@@ -19,8 +19,12 @@ Two modes:
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
   polytope at every step for both parities of r, and it makes every
-  certificate L1.  Needs exhaustive tight-cut scans, so it is capped to
+  certificate L1.  Its tight cuts come from one exhaustive cut-size
+  scan per run plus per-matching crossing updates, so it is capped to
   desk scale.
+
+At desk scale (n <= odd_cap) every step also carries an audit of the
+r-, (r+1)- and (r+2)-cut families, read from the same per-run tables.
 
 A certified prediction that fails its exact comparison raises
 LemmaViolationError: that is an internal bug by construction, never a
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bounds import product_bound
 from .errors import (
@@ -51,8 +56,8 @@ from .oddcuts import (
     cut_values_by_code,
     is_r_graph,
     odd_subset_codes,
-    tight_odd_cuts,
     _decode,
+    _OddCutTables,
 )
 
 FAST = "fast"
@@ -115,7 +120,8 @@ def audit_cut_invariants(
     (r+2)-cuts at most r*k+2; for even r the claused family, size r+1,
     cannot contain odd cuts at all (every cut has even size), so it is
     reported vacuous and the unclaused even families carry their
-    observed totals with status 'not-checked'.
+    observed totals with status 'not-checked'.  Scans from scratch;
+    greedy_cover reads the same audit off its per-run tables.
     """
     g = state.graph
     if g.n > cap:
@@ -124,13 +130,21 @@ def audit_cut_invariants(
         )
     if g.n % 2 != 0 or g.n < 2:
         raise ValueError("cut audit requires an even vertex count of at least 2")
-    k = len(state.matchings)
     codes, odd = odd_subset_codes(g.n)
     sizes = cut_values_by_code(g, [1] * g.m)
     sums = cut_values_by_code(g, list(state.counts))
+    return _audit_families(r, len(state.matchings), codes[odd], sizes[odd], sums[odd])
+
+
+def _audit_families(r: int, k: int, codes, sizes, sums) -> tuple[CutFamilyAudit, ...]:
+    """The audit of k matchings from parallel arrays over odd subset codes.
+
+    codes ascend and include every odd set whose cut size is r, r+1 or
+    r+2; sizes and sums are the cut sizes and crossing totals of each.
+    """
     out = []
     for s in (r, r + 1, r + 2):
-        mask = odd & (sizes == s)
+        mask = sizes == s
         num = int(mask.sum())
         if r % 2 == 1 and s == r:
             clause = f"= {k}"
@@ -144,7 +158,7 @@ def audit_cut_invariants(
             status = "vacuous" if clause is not None else "not-checked"
             out.append(CutFamilyAudit(s, clause, 0, None, status))
             continue
-        fam = sums[mask]
+        fam = sums[mask].astype(int)
         if clause is None:
             out.append(CutFamilyAudit(s, None, num, int(fam.max()), "not-checked"))
             continue
@@ -164,6 +178,21 @@ def audit_cut_invariants(
         else:
             out.append(CutFamilyAudit(s, clause, num, worst, "satisfied"))
     return tuple(out)
+
+
+def _mask(edge_ids) -> int:
+    return sum(1 << e for e in edge_ids)
+
+
+def _tight_coefficients(r: int, step: int) -> tuple[int, int, int]:
+    """(a, b, d) with w_step(count) = (a - b*count)/d on every edge.
+
+    w_k_entry is affine in the count; w_1 = 1/r is its step-1 case with b = 0.
+    """
+    top = w_k_entry(r, step, 0)
+    slope = top - w_k_entry(r, step, 1) if step > 1 else Fraction(0)
+    d = lcm(top.denominator, slope.denominator)
+    return int(top * d), int(slope * d), d
 
 
 def audits_pass(families) -> bool:
@@ -211,10 +240,6 @@ class CoverReport:
         return all(c.level == "L1" for c in self.certificates)
 
 
-def _cut_edge_sets(g: Multigraph, tights) -> list[frozenset[int]]:
-    return [g.boundary(s) for s in tights]
-
-
 def greedy_cover(
     g: Multigraph,
     r: int,
@@ -251,6 +276,10 @@ def greedy_cover(
             f"n = {g.n} exceeds odd-cap {odd_cap}"
         )
     pms = enumerate_perfect_matchings(g, pm_cap) if exact else ()
+    pm_masks = [_mask(pm.edge_ids) for pm in pms]
+    cuts = (
+        _OddCutTables(g, range(r, r + 3), k * g.n // 2, exact) if g.n <= odd_cap else None
+    )
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):
@@ -267,14 +296,15 @@ def greedy_cover(
                     f"exact-lemma step {step}: usage vector left the polytope; "
                     "selection rule is broken (internal bug)"
                 )
-            tights = tight_odd_cuts(g, w.values, cap=odd_cap)
-            cut_sets = _cut_edge_sets(g, tights)
+            tights = cuts.tight(*_tight_coefficients(r, step))
+            cut_masks = [_mask(g.boundary(s)) for s in tights]
+            uncovered_mask = ~_mask(state.covered)
             chosen = None
             best_gain = -1
-            for pm in pms:
-                if any(pm.crossings(cs) != 1 for cs in cut_sets):
+            for pm, pm_mask in zip(pms, pm_masks):
+                if any((pm_mask & c).bit_count() != 1 for c in cut_masks):
                     continue
-                gain = sum(1 for e in pm.edge_ids if e not in state.covered)
+                gain = (pm_mask & uncovered_mask).bit_count()
                 if gain > best_gain:
                     best_gain = gain
                     chosen = pm
@@ -304,9 +334,10 @@ def greedy_cover(
                 f"{best_gain} (internal bug)"
             )
         state = state.extend(chosen)
-        audit = (
-            audit_cut_invariants(state, r, cap=odd_cap) if g.n <= odd_cap else None
-        )
+        audit = None
+        if cuts is not None:
+            cuts.add(chosen.edge_ids)
+            audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
         certs.append(
             IterationCertificate(
                 step=step,

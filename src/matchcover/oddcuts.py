@@ -72,22 +72,35 @@ def _lex_key(s: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
+def _subset_codes(n: int) -> np.ndarray:
+    nbits = n - 1
+    if nbits > BRUTE_LIMIT - 1:
+        raise CapExceededError(
+            f"exhaustive odd-subset scan limited to n <= {BRUTE_LIMIT}, got n = {n}"
+        )
+    return np.arange(1 << nbits, dtype=np.uint32)
+
+
 def odd_subset_codes(n: int):
     """Subset codes and popcount-parity mask for subsets of {1..n-1}.
 
     Code c encodes the set {v : bit (v-1) of c is set}; vertex 0 is
     never a member, so for even n each odd cut appears exactly once.
     """
-    nbits = n - 1
-    if nbits > BRUTE_LIMIT - 1:
-        raise CapExceededError(
-            f"exhaustive odd-subset scan limited to n <= {BRUTE_LIMIT}, got n = {n}"
-        )
-    codes = np.arange(1 << nbits, dtype=np.uint32)
+    codes = _subset_codes(n)
     par = codes.copy()
     for shift in (1, 2, 4, 8, 16):
         par ^= par >> shift
     return codes, (par & 1).astype(bool)
+
+
+def _add_crossings(table: np.ndarray, codes: np.ndarray, u: int, v: int, w: int = 1):
+    """Add w to table[i] wherever edge (u, v), u < v, crosses the set of codes[i]."""
+    bit = codes >> np.uint32(v - 1)
+    if u != 0:  # vertex 0 is never a member
+        bit ^= codes >> np.uint32(u - 1)
+    bit &= np.uint32(1)
+    table += bit if w == 1 else bit.astype(table.dtype) * w
 
 
 def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
@@ -95,19 +108,13 @@ def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
 
     Falls back to exact Python integers if the totals could overflow int64.
     """
-    codes, _ = odd_subset_codes(g.n)
+    codes = _subset_codes(g.n)
     total = sum(abs(x) for x in nums)
     if total < (1 << 62):
         cut = np.zeros(len(codes), dtype=np.int64)
         for eid, (u, v) in enumerate(g.edges):
-            w = nums[eid]
-            if w == 0:
-                continue
-            if u == 0:
-                bit = (codes >> np.uint32(v - 1)) & np.uint32(1)
-            else:
-                bit = ((codes >> np.uint32(u - 1)) ^ (codes >> np.uint32(v - 1))) & np.uint32(1)
-            cut += bit.astype(np.int64) * w
+            if nums[eid] != 0:
+                _add_crossings(cut, codes, u, v, nums[eid])
         return cut
     # arbitrary-precision fallback, slow but exact
     out = np.empty(len(codes), dtype=object)
@@ -154,8 +161,51 @@ def tight_odd_cuts(g: Multigraph, weights, cap: int = 20) -> tuple[frozenset[int
     nums, den = scale_weights(weights, g.m)
     codes, odd = odd_subset_codes(g.n)
     cut = cut_values_by_code(g, nums)
-    hit = codes[odd][cut[odd] == den]
-    return tuple(sorted((_decode(c) for c in hit), key=_lex_key))
+    return _decoded_sorted(codes[odd][cut[odd] == den])
+
+
+def _decoded_sorted(codes) -> tuple[frozenset[int], ...]:
+    """The vertex sets of subset codes, in lexicographic order of sorted tuples."""
+    return tuple(sorted((_decode(c) for c in codes), key=_lex_key))
+
+
+class _OddCutTables:
+    """The odd sets of g with their cut sizes, scanned once, and the
+    crossings of the edges added since, updated edge by edge.
+
+    `fam_codes`, `fam_sizes` and `fam_sums` cover the odd sets whose cut
+    size lies in `family`, in ascending code order; with `full`, `counts`
+    holds the crossings of every odd set, for `tight`.  Sizes are at most
+    m and counts at most `max_count`, which pick the narrow dtypes.
+    """
+
+    def __init__(self, g: Multigraph, family: range, max_count: int, full: bool):
+        self.edges = g.edges
+        codes, odd = odd_subset_codes(g.n)
+        self.codes = codes[odd]
+        self.sizes = cut_values_by_code(g, [1] * g.m)[odd].astype(np.min_scalar_type(g.m))
+        count_type = np.min_scalar_type(max_count)
+        fam = (self.sizes >= family.start) & (self.sizes < family.stop)
+        self.fam_codes, self.fam_sizes = self.codes[fam], self.sizes[fam]
+        self.fam_sums = np.zeros(len(self.fam_codes), dtype=count_type)
+        self.counts = np.zeros(len(self.codes), dtype=count_type) if full else None
+
+    def add(self, edge_ids):
+        for e in edge_ids:
+            u, v = self.edges[e]
+            _add_crossings(self.fam_sums, self.fam_codes, u, v)
+            if self.counts is not None:
+                _add_crossings(self.counts, self.codes, u, v)
+
+    def tight(self, a: int, b: int, d: int) -> tuple[frozenset[int], ...]:
+        """Odd sets with a*size - b*count == d, the tight cuts of a weight
+        that is (a - b*count)/d on every edge, sorted as tight_odd_cuts sorts."""
+        val = self.sizes.astype(np.int64)
+        val *= a
+        used = self.counts.astype(np.int64)
+        used *= b
+        val -= used
+        return _decoded_sorted(self.codes[val == d])
 
 
 def _require_even(g: Multigraph):

@@ -1,9 +1,12 @@
 """Greedy cover, its certificates, and the odd-cut family audits."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchcover import (
     CapExceededError,
@@ -24,9 +27,10 @@ from matchcover import (
     random_regular,
     uniform,
 )
-from matchcover.cover import EXACT_LEMMA, FAST
+from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
+from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
-from matchcover.oddcuts import min_odd_cut
+from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
 
 from helpers import PETERSEN_PMS
 
@@ -238,3 +242,100 @@ def test_cover_state_extend():
     s2 = s1.extend(Matching((0, 5)))
     assert s2.counts == (2, 0, 0, 0, 0, 2)
     assert s2.covered == {0, 5}
+
+
+# sha256 of repr(per step: matching edge ids, every certificate field, and
+# every audit family with its sorted witness) for the k = 6 covers of
+# random_regular(n, r, 0), recorded with a full odd-cut scan per audit and
+# per tight-cut enumeration
+DESK_COVER_PINS = {
+    (FAST, 16, 3): "3b1b46f133968c79b90b14f67df8882631349e6706bb74866885b41dadc3ae2a",
+    (FAST, 16, 4): "f9643633cc935e1d0ffba5422c6eccc9db42cb41ddb591a83190a042f0bc53f3",
+    (FAST, 18, 3): "1bf0c170311a35737fb186c0a6667687b275319cb31245c25a1e2d071ecaac66",
+    (FAST, 18, 4): "74aa0a59f55bc772b4bce5a5b04bd04e0ab6aba15e7284466aaf98e17383ba91",
+    (FAST, 20, 3): "834ad102f249e815d381ae218812e8413dcd12aec4175aee4a5c6fe87a686bc6",
+    (FAST, 20, 4): "855d16fc0b98089950432f2c49ad53ab8a4f76c9006cdef84101a7563898ff00",
+    (EXACT_LEMMA, 16, 3): "eabe3da1efd354f1deee040c1ff229b41fa4fa4fa2df9638e42c01df8bc3bb40",
+    (EXACT_LEMMA, 16, 4): "2f05b09cafe59a7a62239a70ea63e5f8f9d851fd952146c43bdd77fea3c9c539",
+    (EXACT_LEMMA, 18, 3): "ee19f81fb99f0897630f271a63cb965f3df4e87dc2943376d2ab0fd76a5d3c80",
+    (EXACT_LEMMA, 18, 4): "5a9ad2a9f7dd831901d5dfabf5ae89049422e58cfffd541dc4b6f3e1e25de70e",
+    (EXACT_LEMMA, 20, 3): "b6e369cbfabbeb1932dcc262baf9abc6020cd6f22304a37eb130d0800544990c",
+    (EXACT_LEMMA, 20, 4): "45d32e9fba9ce78c4bcf3f776572d9b0cb0def62a6007e81f1842f42ac09131a",
+}
+
+
+@pytest.mark.parametrize("mode,n,r", sorted(DESK_COVER_PINS))
+def test_desk_cover_certificates_and_audits_pinned(mode, n, r):
+    rep = greedy_cover(random_regular(n, r, 0), r, 6, mode=mode)
+    rows = []
+    for c, m in zip(rep.certificates, rep.matchings):
+        audit = tuple(
+            (f.cardinality, f.clause, f.num_cuts, f.worst, f.status,
+             None if f.witness is None else tuple(sorted(f.witness)))
+            for f in c.audit
+        )
+        rows.append((m.edge_ids, c.step, c.level, c.membership_verified, c.tight_honored,
+                     str(c.predicted_gain), c.actual_gain, c.covered_after, c.stalled, audit))
+    digest = hashlib.sha256(repr(tuple(rows)).encode()).hexdigest()
+    assert digest == DESK_COVER_PINS[(mode, n, r)]
+
+
+def exact_lemma_pick(g, pms, tights, covered):
+    """The exact-lemma selection, recomputed on edge-id sets: the first
+    maximum-gain matching, in enumeration order, crossing every tight cut once."""
+    cut_sets = [g.boundary(s) for s in tights]
+    best, best_gain = None, -1
+    for pm in pms:
+        if all(pm.crossings(cs) == 1 for cs in cut_sets):
+            gain = sum(1 for e in pm.edge_ids if e not in covered)
+            if gain > best_gain:
+                best, best_gain = pm, gain
+    return best
+
+
+@st.composite
+def desk_cover_cases(draw):
+    r = draw(st.integers(3, 6))
+    n = 2 * draw(st.integers(1, 9))  # n = 20 is pinned above
+    return random_regular(n, r, draw(st.integers(0, 10**6))), r, draw(st.integers(1, 6))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(desk_cover_cases())
+@example((dipole(5), 5, 4))
+@example((random_regular(12, 4, 1), 4, 5))  # tight cuts decide picks here
+@example((random_regular(18, 6, 3), 6, 3))
+def test_run_tables_match_full_scans_on_every_step(case):
+    # every audit of a cover equals the from-scratch audit of its state,
+    # and in exact-lemma mode every pick honors the from-scratch tight cuts
+    g, r, k = case
+    pms = enumerate_perfect_matchings(g)
+    for mode in MODES:
+        rep = greedy_cover(g, r, k, mode=mode)
+        state = CoverState.initial(g)
+        for step, (c, m) in enumerate(zip(rep.certificates, rep.matchings), 1):
+            if mode == EXACT_LEMMA:
+                w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+                tights = tight_odd_cuts(g, w.values)
+                assert m == exact_lemma_pick(g, pms, tights, state.covered)
+            state = state.extend(m)
+            assert c.audit == audit_cut_invariants(state, r)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(desk_cover_cases(), st.randoms(use_true_random=False))
+@example((prism(3), 3, 2), random.Random(0))
+def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
+    # arbitrary perfect matchings, so audits also fail and name witnesses
+    g, r, k = case
+    pms = enumerate_perfect_matchings(g)
+    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2, full=True)
+    state = CoverState.initial(g)
+    for step in range(1, k + 1):
+        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        assert cuts.tight(*_tight_coefficients(r, step)) == tight_odd_cuts(g, w.values)
+        m = rnd.choice(pms)
+        state = state.extend(m)
+        cuts.add(m.edge_ids)
+        audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
+        assert audit == audit_cut_invariants(state, r)

@@ -1,0 +1,31 @@
+"""The README's library quick tour runs as written and says what it returns."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library quick tour"):]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_quick_tour_runs_and_matches_its_comments():
+    ns = {}
+    exec(compile(quick_tour(), str(README), "exec"), ns)
+    assert ns["ok"] is True
+    assert (ns["cut"].value, ns["cut"].witness) == (3, {1})
+    report = ns["report"]
+    assert report.fraction == 1 and len(report.state.covered) == 15
+    assert report.bound == Fraction(413, 429)
+    assert len(report.matchings) == 6
+    assert set(ns["w"].values) == {Fraction(1, 3)}
+    assert len(ns["dec"].terms) == 6
+    mc = ns["mc"]
+    assert (mc.p, len(mc.matchings)) == (2, 6)
+    g = ns["g"]
+    assert ns["m_exact"](g, 3).fraction == Fraction(4, 5)
+    assert ns["excessive_index"](g).value == 5
