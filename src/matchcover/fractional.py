@@ -184,8 +184,11 @@ def decompose(
     perfect matchings.
 
     Enumerates all perfect matchings supported on the positive edges of
-    w, then solves the exact feasibility system (one equation per edge
-    plus the coefficients-sum-to-one row).  Membership is verified
+    w, then solves the exact feasibility system: one equation per edge
+    plus the coefficients-sum-to-one row, with the 0/1 incidence rows
+    passed as ints to the integer-preserving simplex.  The coefficients
+    are its basic solution, the one a `Fraction` tableau reaches by the
+    same Bland pivots, so at most m+1 terms.  Membership is verified
     first and MembershipFailure raised otherwise; a feasible system is
     then guaranteed, so an infeasible solve indicates an internal bug
     and fails loudly.  The result is verified by reconstruction before
@@ -201,15 +204,9 @@ def decompose(
         m for m in pms if all(w[e] > 0 for e in m.edge_ids)
     ]
     supports = [frozenset(m.edge_ids) for m in cands]
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
-    rhs = []
-    for e in range(g.m):
-        rows.append([one if e in s else zero for s in supports])
-        rhs.append(w[e])
-    rows.append([Fraction(1)] * len(cands))
-    rhs.append(Fraction(1))
-    x = solve_nonneg(rows, rhs)
+    rows = [[int(e in s) for s in supports] for e in range(g.m)]
+    rows.append([1] * len(cands))
+    x = solve_nonneg(rows, [*w.values, Fraction(1)])
     if x is None:
         raise AssertionError(
             "membership verified but no convex decomposition found; internal bug"

@@ -155,3 +155,77 @@ def min_odd_cut_networkx(g: Multigraph, weights) -> OddCutResult:
         (_canonical(g.n, s) for v, s in candidates if v == best), key=_lex_key
     )
     return OddCutResult(Fraction(best, den), witness)
+
+
+def solve_nonneg_fraction(A, b) -> list[Fraction] | None:
+    """Oracle for `lpfeas.solve_nonneg`: the same phase-1 Bland simplex on
+    a dense `Fraction` tableau (row divided by the pivot, then eliminated).
+    The integer-preserving solver must return the identical list."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if any(len(row) != cols for row in A):
+        raise ValueError("ragged constraint matrix")
+    if len(b) != rows:
+        raise ValueError("right-hand side length mismatch")
+    if rows == 0:
+        return []
+
+    # tableau: real columns, then one artificial per row, then the rhs
+    tab = []
+    for i in range(rows):
+        line = [Fraction(x) for x in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            line = [-x for x in line]
+            rhs = -rhs
+        line += [Fraction(0)] * rows
+        line[cols + i] = Fraction(1)
+        line.append(rhs)
+        tab.append(line)
+    width = cols + rows
+    basis = [cols + i for i in range(rows)]
+
+    # reduced-cost row for minimizing the artificial sum
+    obj = [Fraction(0)] * (width + 1)
+    for j in range(width + 1):
+        obj[j] = -sum(tab[i][j] for i in range(rows))
+    for i in range(rows):
+        obj[cols + i] += 1  # cost of each artificial
+
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(rows):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = tab[i][width] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # phase-1 objective is bounded below by 0, so this cannot happen
+            raise AssertionError("unbounded phase-1 objective")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(rows):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [a - f * c for a, c in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    artificial_total = -obj[width]
+    if artificial_total != 0:
+        return None
+    x = [Fraction(0)] * cols
+    for i, bv in enumerate(basis):
+        if bv < cols:
+            x[bv] = tab[i][width]
+    return x

@@ -1,5 +1,6 @@
 """Fractional 1-factor machinery: membership, usage weights, decompositions."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from matchcover import (
     multicoloring,
     petersen,
     prism,
+    random_regular,
     uniform,
     verify_membership,
     w_k_entry,
@@ -244,6 +246,56 @@ def test_multicoloring_proper_colorings():
         assert len(mc.matchings) == r
         seen = sorted(e for m in mc.matchings for e in m.edge_ids)
         assert seen == list(range(g.m))
+
+
+# sha256 of repr(tuple of (edge_ids, str(coeff)) over the decompose(g,
+# uniform(g, r)) terms) and of repr((p, tuple of edge_ids over the
+# multicoloring(g, r) matchings)) for g = random_regular(n, r, seed): the
+# decompose workload's classes at seeds 0 and 1, plus the two slowest
+# baseline graphs; recorded with the Fraction-tableau simplex
+DECOMPOSITION_PINS = {
+    (10, 3, 0): ("f2e13730c049d8bb706d6f2d0ad1507a6a6b5aef5da8b8155fd502b6e772cc3b",
+                 "937b0121be632fc2c2524f99bdf32e0010e201361949358b92eb58a20288af3c"),
+    (10, 3, 1): ("1472dd83407cff31d8134a32229d4407c4f7e26ffb197be79a68b0aae57df398",
+                 "2f93f25645b1493a6cfa1ddc9d9cb35aefaa37706eb49b57c5013d9d39e7b4cd"),
+    (12, 3, 0): ("184e8b8fa6257853214c83f9ad9683f98af575bb0812a6cb7f43beb59ae22cee",
+                 "f4b06286d02d433d3f850567136bd618836e7c8d0193e5f69d01de0193fbebef"),
+    (12, 3, 1): ("2e7cad6181a205168dba310d1bae29eeefc61c41df454cb352aea42a2cf607e1",
+                 "56fbacd2f1526400ace127f272662a16110bf097dbcabe8c414c779136d5f1dd"),
+    (14, 3, 0): ("b48eafee009f6843b9ef050940187658be686be58a7032075ff07f25fc333d6a",
+                 "b4c6807e2774dbd26a0227fc832c09a3784ac8849c94638622e64b4bbb8a3f5d"),
+    (14, 3, 1): ("ff6799fe88c88324f2516b5a60bd1be25da325cc6325793b127ed54398097492",
+                 "32ae50951c31c56c7e8d8d4f99de44e99225c0cc6ef65d18efafbd52f4c82284"),
+    (8, 4, 0): ("1dfddbd5ac66f8079f2dadbf747b6163a9786910a8476a2433e36c5abe9a57dc",
+                "e9b3b7c568357b471b7aa1d7d6d7120f43f3b3ae6d9c5805e963ef4f2bdab209"),
+    (8, 4, 1): ("270b6982a2ae002e212cdc5294fb77585935142829aacdbe36e6a31c0c03662a",
+                "e6d3f8b2f4bbe4c99ca4957ad822c2c61813c365fc17c2b0c6161402b67ae063"),
+    (6, 5, 0): ("287ef2f3df6f2acc0aba9714d222c34f7b818d77252334dd291ed68d9c01f1e2",
+                "71429c1502eda1ee29c9a887d93fe43d9ec51478e189c552babef81c664c69d6"),
+    (6, 5, 1): ("70696bc051e3dfbabf98d542d37de7fc10f91efab97fdb51057c27daec8af6dc",
+                "ffe7617c6aed6b59073d715c90b6fe40096b38200f151edaaf63b45e300e1ecd"),
+    (6, 6, 0): ("4594354c59d934d2ba67581bedbd36d0637ca358a9b7e12c7b42d9a98aba98ae",
+                "6c9ec49327bc188d4130381fa583c577f0a69dd54bc3fcdd20e979cb824e3f61"),
+    (6, 6, 1): ("e68eff1e7a1ebe6aabf2362b2bd711deaeebc755072b7b1bffd67658a6839e1f",
+                "8bb071a6eb228c6ceec75186084b1d9d8abcfa2661a676e979b2bb203e3e2dcd"),
+    (14, 5, 0): ("63fdc79caae6800f88c866bd9236deee47d835b95b78b4b7ea9d8018323bcab3",
+                 "052a4f9acb5dd710bdbd688bf898c0f5566953338b68fc2a5fdea083f19687c8"),
+    (12, 6, 0): ("e317ec60424b779df7ced0eede19d05d2f483afb33f30bd76905a89cad76bd58",
+                 "74c689b9bfcd3b816a4b53d909f4e2b3f0c07b9b5dfc4f94b83d91f62ff3294e"),
+}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(DECOMPOSITION_PINS))
+def test_decompositions_pinned_at_scale(n, r, seed):
+    g = random_regular(n, r, seed)
+    dec = decompose(g, uniform(g, r))
+    terms = tuple((m.edge_ids, str(c)) for m, c in dec.terms)
+    mc = multicoloring(g, r)
+    colors = (mc.p, tuple(m.edge_ids for m in mc.matchings))
+    digests = tuple(
+        hashlib.sha256(repr(v).encode()).hexdigest() for v in (terms, colors)
+    )
+    assert digests == DECOMPOSITION_PINS[(n, r, seed)]
 
 
 def test_double_cover_petersen_uses_all_six():
