@@ -19,9 +19,9 @@ Two modes:
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
   polytope at every step for both parities of r, and it makes every
-  certificate L1.  Its tight cuts come from one exhaustive cut-size
-  scan per run plus per-matching crossing updates, so it is capped to
-  desk scale.
+  certificate L1.  Its tight cuts and its membership checks come from
+  one exhaustive cut-size scan per run plus per-matching crossing
+  updates, so it is capped to desk scale.
 
 At desk scale (n <= odd_cap) every step also carries an audit of the
 r-, (r+1)- and (r+2)-cut families, read from the same per-run tables.
@@ -45,6 +45,7 @@ from .errors import (
 )
 from .fractional import (
     FractionalOneFactor,
+    _member_by_cut_table,
     build_w_k,
     uniform,
     verify_membership,
@@ -286,17 +287,17 @@ def greedy_cover(
         uncovered = g.m - len(state.covered)
         if step == 1:
             w: FractionalOneFactor = uniform(g, r)
-            verified = verify_membership(g, w).ok if exact else None
         else:
             w = build_w_k(g, r, step, state.counts)
-            verified = verify_membership(g, w).ok
         if exact:
-            if verified is not True:
+            a, b, d = _tight_coefficients(r, step)
+            verified = _member_by_cut_table(g, w, cuts.values(a, b), d)
+            if not verified:
                 raise LemmaViolationError(
                     f"exact-lemma step {step}: usage vector left the polytope; "
                     "selection rule is broken (internal bug)"
                 )
-            tights = cuts.tight(*_tight_coefficients(r, step))
+            tights = cuts.tight(a, b, d)
             cut_masks = [_mask(g.boundary(s)) for s in tights]
             uncovered_mask = ~_mask(state.covered)
             chosen = None
@@ -315,6 +316,7 @@ def greedy_cover(
                 )
             tight_honored = True
         else:
+            verified = verify_membership(g, w).ok if step > 1 else None
             weights = [0 if e in state.covered else 1 for e in range(g.m)]
             if certs and certs[-1].stalled:  # same weights as the last step
                 chosen = state.matchings[-1]

@@ -43,7 +43,7 @@ class FractionalOneFactor:
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
         for i, v in enumerate(vals):
-            if v < 0 or v > 1:
+            if v.numerator < 0 or v.numerator > v.denominator:
                 raise ValueError(f"entry {i} outside [0, 1]: {v}")
         object.__setattr__(self, "values", vals)
 
@@ -141,13 +141,9 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     """
     if len(w) != g.m:
         raise ValueError(f"weight vector has {len(w)} entries, graph has {g.m} edges")
-    for e, v in enumerate(w.values):
-        if v < 0 or v > 1:
-            return MembershipReport(False, "edge_range", e)
-    for vtx in range(g.n):
-        s = w.total(g.incident(vtx))
-        if s != 1:
-            return MembershipReport(False, "vertex_sum", vtx)
+    local = _local_failure(g, w)
+    if local is not None:
+        return local
     if g.n == 0:
         return MembershipReport(True)
     if g.n % 2 == 1:
@@ -157,6 +153,24 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     if cut.value < 1:
         return MembershipReport(False, "odd_cut", cut, cut)
     return MembershipReport(True, None, None, cut)
+
+
+def _local_failure(g: Multigraph, w: FractionalOneFactor) -> MembershipReport | None:
+    """The first failure of conditions (i) and (ii), or None."""
+    for e, v in enumerate(w.values):
+        if v.numerator < 0 or v.numerator > v.denominator:
+            return MembershipReport(False, "edge_range", e)
+    for vtx in range(g.n):
+        if w.total(g.incident(vtx)) != 1:
+            return MembershipReport(False, "vertex_sum", vtx)
+    return None
+
+
+def _member_by_cut_table(g: Multigraph, w: FractionalOneFactor, cut_values, d: int) -> bool:
+    """verify_membership(g, w).ok with condition (iii) read off a table:
+    cut_values holds d times w(boundary(S)) for every odd set S, as the
+    per-run odd-cut table of a cover gives it, so no Gomory-Hu tree is built."""
+    return _local_failure(g, w) is None and int(cut_values.min()) >= d
 
 
 @dataclass(frozen=True)
@@ -200,9 +214,8 @@ def decompose(
             f"vector fails membership condition {rep.condition}", rep
         )
     pms = enumerate_perfect_matchings(g, cap)
-    cands = [
-        m for m in pms if all(w[e] > 0 for e in m.edge_ids)
-    ]
+    positive = {e for e, v in enumerate(w.values) if v.numerator > 0}
+    cands = [m for m in pms if positive.issuperset(m.edge_ids)]
     supports = [frozenset(m.edge_ids) for m in cands]
     rows = [[int(e in s) for s in supports] for e in range(g.m)]
     rows.append([1] * len(cands))

@@ -3,17 +3,16 @@
 A Matching stores sorted edge ids only; the graph is passed where
 needed.  Enumeration is the oracle route (complete, deterministic,
 capped).  `max_weight_perfect_matching` is the production route: one
-blossom call on integer weights perturbed by edge id, whose unique
-maximum is the lexicographically least maximum-weight perfect matching,
-so the output never depends on how the library breaks ties.
+call of this module's own Edmonds blossom, on flat int lists, with
+integer weights perturbed by edge id.  Their unique maximum is the
+lexicographically least maximum-weight perfect matching, so the output
+never depends on how a solver breaks ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
 
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
@@ -163,11 +162,312 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
         pw = (nums[eid] << g.m) + (1 << (g.m - 1 - eid))
         if (u, v) not in best or pw > best[(u, v)][0]:
             best[(u, v)] = (pw, eid)
-    sim = nx.Graph()
-    sim.add_nodes_from(range(g.n))
-    for (u, v), (pw, _) in best.items():
-        sim.add_edge(u, v, weight=pw)
-    mate = nx.max_weight_matching(sim, maxcardinality=True)
-    if 2 * len(mate) < g.n:
+    pairs = list(best.values())
+    ends = [x for uv in best for x in uv]
+    mate = _blossom(g.n, ends, [pw for pw, _ in pairs])
+    if mate is None:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    return Matching(tuple(best[(min(u, v), max(u, v))][1] for u, v in mate))
+    return Matching(tuple(pairs[mate[v] >> 1][1] for v in range(g.n) if v < ends[mate[v]]))
+
+
+def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
+    """Maximum-weight perfect matching by Edmonds' primal-dual blossom method.
+
+    Edge k of a simple graph on vertices 0..n-1 joins ends[2k] and
+    ends[2k+1] with integer weight weight[k]; endpoint p of edge p >> 1
+    sits at ends[p], and p ^ 1 is its far end.  Returns mate, where
+    ends[mate[v]] is v's partner and mate[v] >> 1 the matched edge, or
+    None when no perfect matching exists.
+
+    Galil's O(n^3) form: one augmentation per stage, slack on vertex duals
+    only.  Weights enter as 4w and vertex duals start even, so slacks
+    between two S-vertices stay even and every dual stays an integer.
+    Blossoms are n..2n-1; nested blossoms are expanded and augmented
+    through explicit work lists, so nesting depth never meets the
+    recursion limit.
+    """
+    m = len(weight)
+    w4 = [w << 2 for w in weight]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for p in range(2 * m):
+        adj[ends[p ^ 1]].append(p)
+    if any(not a for a in adj):
+        return None
+    # even starting duals, each lowered until one of its edges is tight;
+    # a tight edge between two single vertices starts the matching
+    dual = [max(w4[p >> 1] for p in a) >> 1 for a in adj] + [0] * n
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            dv = dual[v] = max(w4[p >> 1] - dual[ends[p]] for p in adj[v])
+            for p in adj[v]:
+                if mate[ends[p]] == -1 and w4[p >> 1] - dual[ends[p]] == dv:
+                    mate[v], mate[ends[p]] = p, p ^ 1
+                    break
+
+    inblossom = list(range(n))  # top-level blossom of each vertex
+    parent = [-1] * (2 * n)
+    childs: list = [None] * (2 * n)  # sub-blossoms in cycle order, base first
+    endps: list = [None] * (2 * n)  # endps[b][i]: end in childs[b][i] of its edge to the next
+    leaves: list = [[v] for v in range(n)] + [None] * n
+    base = list(range(n)) + [-1] * n
+    label = [0] * (2 * n)  # 0 free, 1 S, 2 T; bit 4 marks a visit in scan
+    labelend = [-1] * (2 * n)  # end (outside) of the edge a label came through
+    bestedge = [-1] * (2 * n)  # least-slack edge from another S-blossom
+    bestlist: list = [None] * (2 * n)  # far ends of an S-blossom's best edges
+    free_ids = list(range(2 * n - 1, n - 1, -1))
+    live: list[int] = []  # blossoms in use
+    allowed = [False] * m
+    queue: list[int] = []
+
+    def slack(k):
+        return dual[ends[2 * k]] + dual[ends[2 * k + 1]] - w4[k]
+
+    def direction(cs, i):
+        """Start index, step and end trick for the even way round the cycle
+        cs from child i to the base: forward with wrap-around for odd i."""
+        return (i - len(cs), 1, 0) if i & 1 else (i, -1, 1)
+
+    def assign(w, t, p):
+        while True:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labelend[w] = labelend[b] = p
+            bestedge[w] = bestedge[b] = -1
+            if t == 1:
+                queue.extend(leaves[b])
+                return
+            # the T-blossom's base is matched: its mate's blossom turns S
+            q = mate[base[b]]
+            w, t, p = ends[q], 1, q ^ 1
+
+    def scan(v, w):
+        """Base of the blossom the S-S edge (v, w) closes, or -1 for a path."""
+        path, found = [], -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                found = base[b]
+                break
+            path.append(b)
+            label[b] = 5
+            v = -1 if labelend[b] == -1 else ends[labelend[inblossom[ends[labelend[b]]]]]
+            if w != -1:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return found
+
+    def add_blossom(bs, q):
+        """Shrink the cycle closed by the S-S edge with ends q, q ^ 1."""
+        bb, bv, bw = inblossom[bs], inblossom[ends[q]], inblossom[ends[q ^ 1]]
+        b = free_ids.pop()
+        live.append(b)
+        base[b], parent[b], parent[bb] = bs, -1, b
+        path, eps = [], []
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            eps.append(labelend[bv])
+            bv = inblossom[ends[labelend[bv]]]
+        path, eps = [bb] + path[::-1], eps[::-1] + [q]
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            eps.append(labelend[bw] ^ 1)
+            bw = inblossom[ends[labelend[bw]]]
+        childs[b], endps[b] = path, eps
+        label[b], labelend[b], dual[b] = 1, labelend[bb], 0
+        lv = leaves[b] = [x for c in path for x in leaves[c]]
+        for x in lv:
+            if label[inblossom[x]] == 2:
+                queue.append(x)  # former T-vertices are S now
+            inblossom[x] = b
+        best: dict[int, tuple[int, int]] = {}
+        for c in path:
+            cand = bestlist[c]
+            if cand is None:
+                cand = [p for x in leaves[c] for p in adj[x]]
+            for p in cand:
+                bj = inblossom[ends[p]]
+                if bj != b and label[bj] == 1:
+                    s = slack(p >> 1)
+                    if bj not in best or s < best[bj][0]:
+                        best[bj] = (s, p)
+            bestlist[c] = None
+            bestedge[c] = -1
+        bestlist[b] = [p for _, p in best.values()]
+        bestedge[b] = min(best.values())[1] >> 1 if best else -1
+
+    def expand(b0, endstage):
+        """Dissolve blossom b0 (and, at the end of a stage, its zero-dual
+        sub-blossoms); a T-blossom dissolved mid-stage relabels its parts."""
+        work = [b0]
+        while work:
+            b = work.pop()
+            for s in childs[b]:
+                parent[s] = -1
+                if s < n:
+                    inblossom[s] = s
+                elif endstage and dual[s] == 0:
+                    work.append(s)
+                else:
+                    for x in leaves[s]:
+                        inblossom[x] = s
+            if not endstage and label[b] == 2:
+                cs, es = childs[b], endps[b]
+                entry = inblossom[ends[labelend[b] ^ 1]]
+                j, step, trick = direction(cs, cs.index(entry))
+                p = labelend[b]
+                while j != 0:  # T- and S-sub-blossoms alternate to the base
+                    assign(ends[p ^ 1], 2, p)
+                    allowed[es[j - trick] >> 1] = True
+                    j += step
+                    p = es[j - trick] ^ trick
+                    allowed[p >> 1] = True
+                    j += step
+                x = ends[p ^ 1]
+                bv = cs[j]
+                label[x] = label[bv] = 2
+                labelend[x] = labelend[bv] = p
+                bestedge[bv] = -1
+                j += step
+                while cs[j] != entry:  # the rest becomes T where reached, else free
+                    bv = cs[j]
+                    j += step
+                    if label[bv] == 1:
+                        continue
+                    for x in leaves[bv]:
+                        if label[x]:
+                            assign(x, 2, labelend[x])
+                            break
+            label[b] = 0
+            labelend[b] = base[b] = bestedge[b] = -1
+            childs[b] = endps[b] = leaves[b] = bestlist[b] = None
+            free_ids.append(b)
+            live.remove(b)
+
+    def augment_blossom(b0, v0):
+        """Flip the even alternating path from v0 to the base of b0 and
+        make v0 the base, sub-blossom by sub-blossom."""
+        work = [(b0, v0)]
+        while work:
+            b, v = work.pop()
+            t = v
+            while parent[t] != b:
+                t = parent[t]
+            if t >= n:
+                work.append((t, v))
+            cs, es = childs[b], endps[b]
+            i = cs.index(t)
+            j, step, trick = direction(cs, i)
+            while j != 0:
+                j += step
+                p = es[j - trick] ^ trick
+                if cs[j] >= n:
+                    work.append((cs[j], ends[p]))
+                j += step
+                if cs[j] >= n:
+                    work.append((cs[j], ends[p ^ 1]))
+                mate[ends[p]], mate[ends[p ^ 1]] = p ^ 1, p
+            childs[b] = cs[i:] + cs[:i]
+            endps[b] = es[i:] + es[:i]
+            base[b] = v
+
+    def augment(k):
+        """Flip the augmenting path through the S-S edge k, back to both roots."""
+        for s, p in ((ends[2 * k], 2 * k + 1), (ends[2 * k + 1], 2 * k)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = p
+                if labelend[bs] == -1:
+                    break
+                bt = inblossom[ends[labelend[bs]]]
+                p = labelend[bt]
+                s, j = ends[p], ends[p ^ 1]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = p
+                p ^= 1
+
+    while -1 in mate:
+        # a stage: grow alternating trees from every single vertex until one
+        # augmentation; in between, move duals to make new edges tight
+        label[:] = [0] * (2 * n)
+        bestedge[:] = [-1] * (2 * n)
+        bestlist[n:] = [None] * n
+        allowed[:] = [False] * m
+        queue.clear()
+        for v in range(n):
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign(v, 1, -1)
+        augmented = False
+        while not augmented:
+            while queue and not augmented:
+                v = queue.pop()
+                dv = dual[v]
+                for p in adj[v]:
+                    w = ends[p]
+                    bw = inblossom[w]
+                    if inblossom[v] == bw:
+                        continue
+                    k = p >> 1
+                    if not allowed[k]:
+                        ks = dv + dual[w] - w4[k]
+                        if ks <= 0:
+                            allowed[k] = True
+                    if allowed[k]:
+                        if label[bw] == 0:
+                            assign(w, 2, p ^ 1)
+                        elif label[bw] == 1:
+                            bs = scan(v, w)
+                            if bs >= 0:
+                                add_blossom(bs, p ^ 1)
+                            else:
+                                augment(k)
+                                augmented = True
+                                break
+                        elif label[w] == 0:  # reached inside a T-blossom
+                            label[w] = 2
+                            labelend[w] = p ^ 1
+                    elif label[bw] == 1:
+                        b = inblossom[v]
+                        if bestedge[b] == -1 or ks < slack(bestedge[b]):
+                            bestedge[b] = k
+                    elif label[w] == 0:
+                        if bestedge[w] == -1 or ks < slack(bestedge[w]):
+                            bestedge[w] = k
+            if augmented:
+                break
+            # delta2: S to free vertex; delta3: half an S-S slack;
+            # delta4: the dual of a T-blossom, which then expands
+            found = [(slack(bestedge[v]), 2, bestedge[v]) for v in range(n)
+                     if bestedge[v] != -1 and label[inblossom[v]] == 0]
+            for b in (*range(n), *live):
+                if parent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
+                    found.append((slack(bestedge[b]) >> 1, 3, bestedge[b]))
+                elif b >= n and parent[b] == -1 and label[b] == 2:
+                    found.append((dual[b], 4, b))
+            if not found:
+                return None  # no tree can grow: the matching is maximum
+            delta, kind, arg = min(found)
+            if delta:
+                for v in range(n):
+                    t = label[inblossom[v]]
+                    if t:
+                        dual[v] += delta if t == 2 else -delta
+                for b in live:
+                    if parent[b] == -1 and label[b]:
+                        dual[b] += delta if label[b] == 1 else -delta
+            if kind == 4:
+                expand(arg, False)
+            else:
+                allowed[arg] = True
+                v = ends[2 * arg]
+                queue.append(v if label[inblossom[v]] == 1 else ends[2 * arg + 1])
+        for b in list(live):
+            if base[b] >= 0 and parent[b] == -1 and label[b] == 1 and dual[b] == 0:
+                expand(b, True)
+    return mate

@@ -197,15 +197,19 @@ class _OddCutTables:
             if self.counts is not None:
                 _add_crossings(self.counts, self.codes, u, v)
 
-    def tight(self, a: int, b: int, d: int) -> tuple[frozenset[int], ...]:
-        """Odd sets with a*size - b*count == d, the tight cuts of a weight
-        that is (a - b*count)/d on every edge, sorted as tight_odd_cuts sorts."""
+    def values(self, a: int, b: int) -> np.ndarray:
+        """a*size - b*count for every odd set: d times its cut value under
+        a weight that is (a - b*count)/d on every edge."""
         val = self.sizes.astype(np.int64)
         val *= a
         used = self.counts.astype(np.int64)
         used *= b
         val -= used
-        return _decoded_sorted(self.codes[val == d])
+        return val
+
+    def tight(self, a: int, b: int, d: int) -> tuple[frozenset[int], ...]:
+        """The tight cuts of that weight, sorted as tight_odd_cuts sorts."""
+        return _decoded_sorted(self.codes[self.values(a, b) == d])
 
 
 def _require_even(g: Multigraph):

@@ -23,6 +23,8 @@ from matchcover import (
     prism,
     random_regular,
 )
+from matchcover.errors import NoPerfectMatchingError
+from matchcover.matching import Matching
 from matchcover.oddcuts import (
     OddCutResult,
     _boundary_value,
@@ -229,3 +231,28 @@ def solve_nonneg_fraction(A, b) -> list[Fraction] | None:
         if bv < cols:
             x[bv] = tab[i][width]
     return x
+
+
+def max_weight_perfect_matching_networkx(g: Multigraph, weights) -> Matching:
+    """Oracle for `matching.max_weight_perfect_matching`: the same
+    id-perturbed weights and parallel-edge reduction, solved by networkx's
+    `max_weight_matching`.  The perturbed optimum is unique, so the two
+    routes must return the identical matching."""
+    if g.n % 2 != 0:
+        raise NoPerfectMatchingError("perfect matchings need an even vertex count")
+    fr = [Fraction(w) for w in weights]
+    low = min(fr, default=0)
+    nums, _ = scale_weights([f - low for f in fr], g.m)
+    best: dict[tuple[int, int], tuple[int, int]] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        pw = (nums[eid] << g.m) + (1 << (g.m - 1 - eid))
+        if (u, v) not in best or pw > best[(u, v)][0]:
+            best[(u, v)] = (pw, eid)
+    sim = nx.Graph()
+    sim.add_nodes_from(range(g.n))
+    for (u, v), (pw, _) in best.items():
+        sim.add_edge(u, v, weight=pw)
+    mate = nx.max_weight_matching(sim, maxcardinality=True)
+    if 2 * len(mate) < g.n:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    return Matching(tuple(best[(min(u, v), max(u, v))][1] for u, v in mate))

@@ -16,6 +16,7 @@ from matchcover import (
     NotRGraphError,
     audit_cut_invariants,
     audits_pass,
+    verify_membership,
     bridge_pair,
     build_w_k,
     dipole,
@@ -28,6 +29,7 @@ from matchcover import (
     uniform,
 )
 from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
+from matchcover.fractional import FractionalOneFactor, _member_by_cut_table
 from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
@@ -157,6 +159,21 @@ def test_fast_cover_matchings_pinned_at_scale(n, r, seed):
     rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
     ids = tuple(m.edge_ids for m in rep.matchings)
     assert hashlib.sha256(repr(ids).encode()).hexdigest() == FAST_COVER_PINS[(n, r, seed)]
+
+
+# the same digest at n = 200, recorded with networkx's blossom before the
+# library's own blossom replaced it
+FAST_COVER_PINS_200 = {
+    (200, 3, 0): "f4c57100d95fe8b427c86d85cf52318e299ec140e8c219b8401c94a47e130a13",
+    (200, 4, 0): "d457797dd7d39681d9208639f2c803d5bb40cb5174bb7a55abba95a2a0fa743d",
+}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(FAST_COVER_PINS_200))
+def test_fast_cover_matchings_pinned_at_200(n, r, seed):
+    rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
+    ids = tuple(m.edge_ids for m in rep.matchings)
+    assert hashlib.sha256(repr(ids).encode()).hexdigest() == FAST_COVER_PINS_200[(n, r, seed)]
 
 
 # sha256 of repr(per step: level, membership_verified, actual_gain, stalled,
@@ -339,3 +356,33 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         cuts.add(m.edge_ids)
         audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
         assert audit == audit_cut_invariants(state, r)
+
+
+# fast covers whose usage vectors leave the polytope at some step
+@pytest.mark.parametrize("n,r,seed", [
+    (12, 3, 0), (16, 3, 3), (20, 3, 1), (10, 4, 3), (12, 4, 1), (20, 4, 0),
+    (14, 5, 0), (18, 5, 3),
+])
+def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
+    g = random_regular(n, r, seed)
+    k = 6
+    rep = greedy_cover(g, r, k, mode=FAST)
+    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2, full=True)
+    state = CoverState.initial(g)
+    outcomes = []
+    for step, m in enumerate(rep.matchings, 1):
+        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        a, b, d = _tight_coefficients(r, step)
+        vals = cuts.values(a, b)
+        ok = _member_by_cut_table(g, w, vals, d)
+        assert ok == verify_membership(g, w).ok
+        outcomes.append(ok)
+        # condition (ii) still counts when the table alone would pass
+        off = FractionalOneFactor((F(0),) + w.values[1:])
+        assert not _member_by_cut_table(g, off, vals, d)
+        assert not verify_membership(g, off).ok
+        state = state.extend(m)
+        cuts.add(m.edge_ids)
+    assert outcomes[0] is True
+    if (n, r) != (20, 4):
+        assert False in outcomes

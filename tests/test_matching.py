@@ -1,10 +1,13 @@
 """Perfect matching enumeration (oracle) and max-weight selection (production)."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchcover import (
@@ -25,7 +28,7 @@ from matchcover import (
     prism,
 )
 
-from helpers import PETERSEN_PMS, corpus
+from helpers import PETERSEN_PMS, corpus, max_weight_perfect_matching_networkx
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
@@ -189,3 +192,79 @@ def test_max_weight_is_lex_least_maximizer_of_enumeration(gw):
     lex = min(m.edge_ids for m in pms if matching_weight(m, w) == best)
     assert max_weight_perfect_matching(g, w).edge_ids == lex
     assert max_weight_value(g, w) == best
+
+
+@st.composite
+def blossom_inputs(draw):
+    """Multigraphs up to n = 40, past enumeration's reach, for the oracle.
+
+    Sparse draws have up to 3n random edges (parallel copies included) and
+    usually a planted perfect matching; dense draws are K_n, n <= 16, with
+    a few parallel copies.  n may be odd and a perfect matching may be
+    missing.  Weights are 0/1, as in a cover step, where nested blossoms
+    and expiring T-blossoms are common, or mix zeros, negative integers
+    and rationals.
+    """
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        n = min(n, 16)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    else:
+        edges = []
+        if n % 2 == 0 and draw(st.sampled_from((True, True, True, False))):
+            perm = draw(st.permutations(range(n)))
+            edges += [(perm[i], perm[i + 1]) for i in range(0, n, 2)]
+        if n >= 2:
+            extra = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+            edges += [(u, (u + d) % n) for u, d in draw(st.lists(extra, max_size=3 * n))]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges = draw(st.permutations(edges))
+    value = draw(st.sampled_from((
+        st.integers(0, 1),
+        st.one_of(st.just(0), st.integers(-4, 4), st.fractions(-5, 5, max_denominator=7)),
+    )))
+    weights = draw(st.lists(value, min_size=len(edges), max_size=len(edges)))
+    return Multigraph(n, tuple(edges)), weights
+
+
+def _outcome(route, g, w):
+    try:
+        return route(g, w)
+    except NoPerfectMatchingError:
+        return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(blossom_inputs())
+@example((Multigraph(6, tuple((u, v) for u in range(6) for v in range(u + 1, 6))), [1] * 15))
+@example((TWO_TRIANGLES, [1] * 6))
+def test_max_weight_matches_the_networkx_oracle(gw):
+    g, w = gw
+    got = _outcome(max_weight_perfect_matching, g, w)
+    assert got == _outcome(max_weight_perfect_matching_networkx, g, w)
+    assert got is None or is_perfect_matching(g, got)
+
+
+def test_max_weight_matches_the_networkx_oracle_on_dense_01_graphs():
+    # seeded K_16, half-dense n = 24 and mean-degree-6 n = 40 graphs with 0/1
+    # weights: they form hundreds of blossoms, many nested, and expire T-blossoms
+    rng = random.Random(2024)
+    for n, p in [(16, 1.0)] * 30 + [(40, 0.15)] * 15 + [(24, 0.5)] * 15:
+        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+        g = Multigraph(n, edges)
+        w = [rng.randint(0, 1) for _ in edges]
+        got = _outcome(max_weight_perfect_matching, g, w)
+        assert got == _outcome(max_weight_perfect_matching_networkx, g, w)
+
+
+def test_importing_matchcover_leaves_networkx_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import matchcover, matchcover.cli; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
