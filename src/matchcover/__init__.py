@@ -78,6 +78,7 @@ from .oddcuts import (
     is_r_graph,
     min_odd_cut,
     min_odd_cut_brute,
+    odd_cuts_at_least,
     tight_odd_cuts,
 )
 

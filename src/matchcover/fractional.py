@@ -30,7 +30,7 @@ from math import lcm
 from .errors import MembershipFailure, NotRegularError
 from .matching import Matching, enumerate_perfect_matchings
 from .multigraph import Multigraph
-from .oddcuts import OddCutResult, min_odd_cut
+from .oddcuts import OddCutResult, _odd_cuts_at_least, min_odd_cut, scale_weights
 from .lpfeas import solve_nonneg
 
 
@@ -41,7 +41,7 @@ class FractionalOneFactor:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         for i, v in enumerate(vals):
             if v.numerator < 0 or v.numerator > v.denominator:
                 raise ValueError(f"entry {i} outside [0, 1]: {v}")
@@ -129,19 +129,25 @@ def build_w_k(g: Multigraph, r: int, k: int, counts) -> FractionalOneFactor:
             raise ValueError(
                 f"counts around vertex {v} sum to {s}, expected {k - 1}"
             )
-    return FractionalOneFactor(tuple(w_k_entry(r, k, c) for c in counts))
+    entry = [w_k_entry(r, k, c) for c in range(k)]
+    return FractionalOneFactor(tuple(entry[c] for c in counts))
 
 
 def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport:
     """Check conditions (i), (ii), (iii) and report the first failure.
 
-    Condition (iii) goes through the Gomory-Hu minimum odd cut, so this
-    scales past brute-force sizes.  An odd vertex count fails (iii)
+    All three run on the entries scaled to one integer denominator.
+    (iii) is decided by flows stopped at 1 (`oddcuts.odd_cuts_at_least`),
+    so this scales past brute-force sizes; only a failure runs
+    `min_odd_cut` for its value and witness.  A member reports the cut
+    value 1 at {1}, as `min_odd_cut_brute` does: by (ii) every vertex
+    star is an odd cut of value 1.  An odd vertex count fails (iii)
     outright: the full vertex set is an odd set with empty boundary.
     """
     if len(w) != g.m:
         raise ValueError(f"weight vector has {len(w)} entries, graph has {g.m} edges")
-    local = _local_failure(g, w)
+    nums, den = scale_weights(w.values, g.m)
+    local = _local_failure(g, nums, den)
     if local is not None:
         return local
     if g.n == 0:
@@ -149,19 +155,19 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     if g.n % 2 == 1:
         cut = OddCutResult(Fraction(0), frozenset(range(g.n)))
         return MembershipReport(False, "odd_cut", cut, cut)
+    if _odd_cuts_at_least(g, nums, den):
+        return MembershipReport(True, None, None, OddCutResult(Fraction(1), frozenset({1})))
     cut = min_odd_cut(g, w.values)
-    if cut.value < 1:
-        return MembershipReport(False, "odd_cut", cut, cut)
-    return MembershipReport(True, None, None, cut)
+    return MembershipReport(False, "odd_cut", cut, cut)
 
 
-def _local_failure(g: Multigraph, w: FractionalOneFactor) -> MembershipReport | None:
-    """The first failure of conditions (i) and (ii), or None."""
-    for e, v in enumerate(w.values):
-        if v.numerator < 0 or v.numerator > v.denominator:
+def _local_failure(g: Multigraph, nums: list[int], den: int) -> MembershipReport | None:
+    """The first failure of conditions (i) and (ii) for the weights nums/den."""
+    for e, x in enumerate(nums):
+        if not 0 <= x <= den:
             return MembershipReport(False, "edge_range", e)
     for vtx in range(g.n):
-        if w.total(g.incident(vtx)) != 1:
+        if sum(nums[e] for e in g.incident(vtx)) != den:
             return MembershipReport(False, "vertex_sum", vtx)
     return None
 
@@ -169,8 +175,8 @@ def _local_failure(g: Multigraph, w: FractionalOneFactor) -> MembershipReport | 
 def _member_by_cut_table(g: Multigraph, w: FractionalOneFactor, cut_values, d: int) -> bool:
     """verify_membership(g, w).ok with condition (iii) read off a table:
     cut_values holds d times w(boundary(S)) for every odd set S, as the
-    per-run odd-cut table of a cover gives it, so no Gomory-Hu tree is built."""
-    return _local_failure(g, w) is None and int(cut_values.min()) >= d
+    per-run odd-cut table of a cover gives it, so no flow is run."""
+    return _local_failure(g, *scale_weights(w.values, g.m)) is None and int(cut_values.min()) >= d
 
 
 @dataclass(frozen=True)

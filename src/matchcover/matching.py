@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
-from .oddcuts import scale_weights
+from .oddcuts import _exact, scale_weights
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
     """
     if g.n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    fr = [Fraction(w) for w in weights]
+    fr = [_exact(w) for w in weights]
     low = min(fr, default=0)
     nums, _ = scale_weights([f - low for f in fr], g.m)
     best: dict[tuple[int, int], tuple[int, int]] = {}

@@ -1,7 +1,7 @@
 """Minimum odd edge cuts, tight-cut enumeration, and the r-graph test.
 
 An odd cut is boundary(S) for a vertex set S of odd cardinality.  Two
-routes are provided and kept deliberately independent:
+routes find the minimum odd cut and are kept deliberately independent:
 
 * `min_odd_cut` is the production path: a Gomory-Hu tree per
   positive-weight component, then a scan of the odd fundamental cuts
@@ -14,6 +14,10 @@ routes are provided and kept deliberately independent:
   the production path is tested against.  It is exact and vectorized,
   but limited to small n.
 
+`odd_cuts_at_least` only decides whether every odd cut reaches a bound,
+the membership question, by Gomory-Hu contraction with flows stopped at
+the bound; `min_odd_cut_brute` is its oracle too.
+
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
 the side of the cut not containing vertex 0, with the lexicographically
@@ -24,6 +28,7 @@ fundamental cuts for `min_odd_cut`, so their witnesses can differ.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -52,14 +57,19 @@ def scale_weights(weights, m: int) -> tuple[list[int], int]:
     Weights must be nonnegative rationals (Fraction, int, or anything
     Fraction accepts exactly) and there must be one per edge.
     """
-    fr = [Fraction(w) for w in weights]
+    fr = [_exact(w) for w in weights]
     if len(fr) != m:
         raise ValueError(f"expected {m} weights, got {len(fr)}")
     for i, f in enumerate(fr):
         if f < 0:
             raise ValueError(f"weight of edge {i} is negative: {f}")
     den = lcm(*(f.denominator for f in fr)) if fr else 1
-    return [int(f * den) for f in fr], den
+    return [f.numerator * (den // f.denominator) for f in fr], den
+
+
+def _exact(w):
+    """w itself if it is an int or a Fraction, else Fraction(w)."""
+    return w if isinstance(w, (int, Fraction)) else Fraction(w)
 
 
 def _canonical(n: int, side) -> frozenset[int]:
@@ -282,25 +292,15 @@ def _gomory_hu_tree(g: Multigraph, nums: list[int], comp: set[int]):
     """Gomory-Hu tree of comp as a child -> parent dict, exactly networkx's.
 
     Gusfield's method with networkx's vertex order (that of comp, from a
-    star at its first vertex) and relabelling rules.  Arc a and its
-    reverse a ^ 1 carry one edge, parallel edges summed into exact ints.
+    star at its first vertex) and relabelling rules.
     """
     order = list(comp)
-    index = {v: i for i, v in enumerate(order)}
-    caps: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if nums[eid] > 0 and u in index:
-            key = (min(index[u], index[v]), max(index[u], index[v]))
-            caps[key] = caps.get(key, 0) + nums[eid]
-    head = [x for a, b in caps for x in (b, a)]
-    cap = [c for c in caps.values() for _ in (0, 1)]
-    out = [[] for _ in order]
-    for arc in range(len(head)):
-        out[head[arc ^ 1]].append(arc)
+    head, cap, out = _flow_arcs(g, nums, {v: i for i, v in enumerate(order)})
+    lab, unbounded = list(range(len(order))), sum(cap) + 1
     tree = [0] * len(order)
     for source in range(1, len(order)):
         target = tree[source]
-        sink = _sink_side(head, cap, out, source, target)
+        sink = set(_sink_side(head, cap, out, lab, {}, source, target, unbounded))
         for node in range(1, len(order)):
             if node != source and tree[node] == target and node not in sink:
                 tree[node] = source
@@ -309,35 +309,20 @@ def _gomory_hu_tree(g: Multigraph, nums: list[int], comp: set[int]):
     return {order[i]: order[tree[i]] for i in range(1, len(order))}
 
 
-def _sink_side(head, cap, out, s: int, t: int) -> set[int]:
-    """The vertices that can reach t in the residual graph of a maximum s-t flow.
-
-    networkx's minimum_cut puts all others on the source side; the set
-    is the same for every maximum flow.  Edmonds-Karp pushes the flow
-    from t to s, whose residual graph is the reverse of the s-t one, so
-    the last, failing search from t reaches exactly this set.
-    """
-    res = cap[:]
-    while True:
-        pred, queue = [-1] * len(out), [t]
-        pred[t] = t
-        for x in queue:
-            for a in out[x]:
-                if res[a] and pred[head[a]] == -1:
-                    pred[head[a]] = a
-                    queue.append(head[a])
-            if pred[s] != -1:
-                break
-        else:
-            return set(queue)
-        path, v = [], s
-        while v != t:
-            path.append(pred[v])
-            v = head[pred[v] ^ 1]
-        f = min(res[a] for a in path)
-        for a in path:
-            res[a] -= f
-            res[a ^ 1] += f
+def _flow_arcs(g: Multigraph, nums: list[int], index):
+    """Arcs (head, cap, out) of g's positive edges inside `index`, renumbered
+    by it; arc a and its reverse a ^ 1 carry parallel edges summed."""
+    caps: dict[tuple[int, int], int] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        if nums[eid] > 0 and u in index:
+            key = (min(index[u], index[v]), max(index[u], index[v]))
+            caps[key] = caps.get(key, 0) + nums[eid]
+    head = [x for a, b in caps for x in (b, a)]
+    cap = [c for c in caps.values() for _ in (0, 1)]
+    out = [[] for _ in index]
+    for arc in range(len(head)):
+        out[head[arc ^ 1]].append(arc)
+    return head, cap, out
 
 
 def _odd_fundamental_sides(tree: dict[int, int], comp: set[int]):
@@ -352,6 +337,118 @@ def _odd_fundamental_sides(tree: dict[int, int], comp: set[int]):
     for v in tree:
         if len(below[v]) % 2 == 1:
             yield frozenset(comp - below[v] if root in below[v] else below[v])
+
+
+def odd_cuts_at_least(g: Multigraph, weights, bound) -> bool:
+    """Whether every odd cut of g weighs at least `bound` (even n >= 2)."""
+    _require_even(g)
+    nums, den = scale_weights(weights, g.m)
+    b = Fraction(bound)
+    return _odd_cuts_at_least(g, [x * b.denominator for x in nums], b.numerator * den)
+
+
+def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> bool:
+    """Gomory-Hu's contraction method (1961) with flows stopped at bound.
+
+    In a block lab[v] is v for an own vertex, the hub for one merged into
+    it, and >= n in a contracted node.  The hub takes its heaviest own
+    neighbour t.  If a flow from t reaches the bound, no cut below it
+    separates them: t merges into the hub.  Else t's residual side is a
+    cut below the bound: a violation if odd, else the block splits in
+    two, each with the other side contracted.  Every cut below the bound
+    is then a union of final hubs, each even as every split side was.
+    """
+    if bound <= 0:
+        return True
+    n = g.n
+    head, cap, out = _flow_arcs(g, nums, range(n))
+    blocks, fresh = [(list(range(n)), 0)], n
+    while blocks:
+        lab, hub = blocks.pop()
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            if lab[v] >= n:
+                groups.setdefault(lab[v], []).append(v)
+        conn, heap = [0] * n, []  # weight from the hub to each own vertex
+
+        def absorb(x):
+            for a in out[x]:
+                y = head[a]
+                if lab[y] == y != hub:
+                    conn[y] += cap[a]
+                    heapq.heappush(heap, (-conn[y], y))
+
+        absorb(hub)
+        left = sum(lab[v] == v for v in range(n)) - 1
+        while left:
+            while heap and (lab[heap[0][1]] != heap[0][1] or -heap[0][0] != conn[heap[0][1]]):
+                heapq.heappop(heap)
+            t = heap[0][1] if heap else next(v for v in range(n) if lab[v] == v != hub)
+            side = None
+            if conn[t] < bound:
+                side = _sink_side(head, cap, out, lab, groups, hub, t, bound)
+            if side is None:
+                lab[t] = hub
+                absorb(t)
+                left -= 1
+                continue
+            if len(side) % 2:
+                return False
+            own = sum(lab[v] == v for v in side)
+            t_lab = [fresh + 1] * n
+            for v in side:
+                t_lab[v], lab[v] = lab[v], fresh
+            groups[fresh] = side
+            fresh, left = fresh + 2, left - own
+            if own > 1:
+                blocks.append((t_lab, t))
+    return True
+
+
+def _sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
+    """None if an Edmonds-Karp flow from t into the vertices labelled hub
+    reaches bound, else the vertices t reaches in the residual graph of a
+    maximum flow: the same for every maximum flow, and the sink side
+    networkx's minimum_cut gives for a flow from the hub to t.  A path
+    enters a contracted node anywhere and leaves it from any vertex."""
+    n = len(lab)
+    res = cap[:]
+    flow = 0
+    for a in out[t]:
+        if lab[head[a]] == hub:
+            flow += res[a]
+            res[a ^ 1], res[a] = res[a ^ 1] + res[a], 0
+    while flow < bound:
+        pred, queue, end = [-1] * n, [t], -1
+        pred[t] = -2
+        for x in queue:
+            for a in out[x]:
+                y = head[a]
+                if res[a] and pred[y] == -1:
+                    pred[y], node = a, lab[y]
+                    if node == hub:
+                        end = y
+                        break
+                    queue.append(y)
+                    if node >= n:
+                        for z in groups[node]:
+                            if pred[z] == -1:
+                                pred[z] = a  # the path enters z's node by arc a
+                                queue.append(z)
+            if end >= 0:
+                break
+        else:
+            return queue
+        path = []
+        while end != t:
+            path.append(pred[end])
+            end = head[pred[end] ^ 1]
+        f = min(res[a] for a in path)
+        for a in path:
+            res[a] -= f
+            res[a ^ 1] += f
+        flow += f
+    return None
 
 
 def is_r_graph(g: Multigraph, r: int) -> tuple[bool, OddCutResult | None]:

@@ -15,13 +15,16 @@ from networkx.algorithms.flow import edmonds_karp
 
 from matchcover import (
     Multigraph,
+    build_w_k,
     bridge_pair,
     dipole,
+    greedy_cover,
     k4,
     k33,
     petersen,
     prism,
     random_regular,
+    uniform,
 )
 from matchcover.errors import NoPerfectMatchingError
 from matchcover.matching import Matching
@@ -69,6 +72,15 @@ def corpus() -> tuple[tuple[str, Multigraph, int], ...]:
 
 
 CORPUS_IDS = [name for name, _, _ in corpus()]
+
+
+def fast_cover_step_vectors(g: Multigraph, r: int, k: int):
+    """The usage vector w_1, ..., w_k of every step of a fast greedy cover."""
+    counts = [0] * g.m
+    for step, m in enumerate(greedy_cover(g, r, k).matchings, 1):
+        yield uniform(g, r) if step == 1 else build_w_k(g, r, step, counts)
+        for e in m.edge_ids:
+            counts[e] += 1
 
 
 def frac(s) -> Fraction:

@@ -28,6 +28,7 @@ from matchcover import (
     random_regular,
     uniform,
 )
+from matchcover import fractional, oddcuts
 from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
 from matchcover.fractional import FractionalOneFactor, _member_by_cut_table
 from matchcover.matching import enumerate_perfect_matchings
@@ -356,6 +357,24 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         cuts.add(m.edge_ids)
         audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
         assert audit == audit_cut_invariants(state, r)
+
+
+@pytest.mark.parametrize("n,r,seed,failing", [(200, 3, 1, 0), (100, 3, 1, 1), (40, 3, 3, 7)])
+def test_fast_cover_builds_odd_cut_trees_only_for_failing_steps(monkeypatch, n, r, seed, failing):
+    # the r-graph check builds one; membership builds one per failing step
+    g = random_regular(n, r, seed)
+    calls = []
+    real = oddcuts.min_odd_cut
+
+    def counted(g, weights):
+        calls.append(g.n)
+        return real(g, weights)
+
+    monkeypatch.setattr(oddcuts, "min_odd_cut", counted)
+    monkeypatch.setattr(fractional, "min_odd_cut", counted)
+    rep = greedy_cover(g, r, 8, mode=FAST)
+    assert sum(c.membership_verified is False for c in rep.certificates) == failing
+    assert len(calls) == 1 + failing
 
 
 # fast covers whose usage vectors leave the polytope at some step

@@ -29,8 +29,9 @@ from matchcover import (
     w_k_entry,
 )
 from matchcover.multigraph import Multigraph
+from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
 
-from helpers import PETERSEN_PMS, corpus
+from helpers import PETERSEN_PMS, corpus, fast_cover_step_vectors
 
 F = Fraction
 
@@ -176,6 +177,25 @@ def test_membership_odd_vertex_count():
     assert not rep.ok
     assert rep.condition == "odd_cut"
     assert rep.witness.witness == {0, 1, 2}
+
+
+def test_membership_report_contract():
+    # a member reports the exhaustive minimum; a failure reports min_odd_cut
+    vectors = [(g, uniform(g, r)) for _, g, r in corpus()]
+    for g, r, k in [(petersen(), 3, 5), (random_regular(16, 3, 3), 3, 6),
+                    (random_regular(20, 4, 0), 4, 6), (random_regular(18, 5, 3), 5, 6)]:
+        vectors += [(g, w) for w in fast_cover_step_vectors(g, r, k)]
+    seen = set()
+    for g, w in vectors:
+        rep = verify_membership(g, w)
+        seen.add(rep.ok)
+        if rep.ok:
+            assert rep.min_cut == min_odd_cut_brute(g, w.values)
+        else:
+            assert rep.condition == "odd_cut"
+            assert rep.witness == rep.min_cut == min_odd_cut(g, w.values)
+            assert rep.min_cut.value < 1
+    assert seen == {True, False}
 
 
 def test_membership_length_mismatch():

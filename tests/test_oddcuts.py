@@ -20,14 +20,17 @@ from matchcover import (
     uniform,
 )
 from matchcover.oddcuts import (
+    _boundary_value,
+    _gomory_hu_tree,
     is_r_graph,
     min_odd_cut,
     min_odd_cut_brute,
+    odd_cuts_at_least,
     scale_weights,
     tight_odd_cuts,
 )
 
-from helpers import corpus, min_odd_cut_networkx
+from helpers import corpus, fast_cover_step_vectors, min_odd_cut_networkx
 
 
 def cut_weight(g, weights, side):
@@ -152,6 +155,63 @@ def test_min_odd_cut_matches_networkx_tree_and_brute_force(gw):
     res = min_odd_cut(g, w)
     assert res == min_odd_cut_networkx(g, w)
     assert res.value == min_odd_cut_brute(g, w).value
+
+
+# The bound at the minimum passes; just above it fails.  The examples
+# hold odd positive components, apart or linked by a zero-weight edge,
+# and two 4-cycles whose light links are the only cut below the minimum
+# odd cut, an even one (the split path).
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(nonnegative_weighted_multigraphs(), st.sampled_from((-1, 0, 1)))
+@example(weighted(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], [1] * 6), 1)
+@example(weighted(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], [1] * 6 + [0]), 1)
+@example(weighted(
+    8,
+    [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (2, 6)],
+    [2] * 8 + [Fraction(1, 4)] * 2,
+), 0)
+def test_odd_cuts_at_least_matches_brute_force(gw, offset):
+    g, w = gw
+    best = min_odd_cut_brute(g, w).value
+    bound = best + offset * Fraction(1, 1000)
+    assert odd_cuts_at_least(g, w, bound) is (best >= bound)
+
+
+def cut_below(g, nums, bound):
+    """Whether some cut of the connected weighted graph is below bound:
+    the lightest edge of its Gomory-Hu tree is the global minimum cut."""
+    tree = _gomory_hu_tree(g, nums, set(range(g.n)))
+    below = {v: {v} for v in range(g.n)}
+    for v in tree:
+        u = v
+        while u in tree:
+            u = tree[u]
+            below[u].add(v)
+    return any(_boundary_value(g, nums, frozenset(below[v])) < bound for v in tree)
+
+
+# Fast covers with failing steps (40, 3, 3 from step 2 on; 100, 3, 1 at
+# step 8) and with member steps that have an even cut below 1, which the
+# decision must split on.
+def test_odd_cuts_at_least_on_fast_cover_steps():
+    outcomes = set()
+    for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
+        g = random_regular(n, r, seed)
+        for w in fast_cover_step_vectors(g, r, 8):
+            member = min_odd_cut(g, w.values).value >= 1
+            assert odd_cuts_at_least(g, w.values, 1) is member
+            nums, den = scale_weights(w.values, g.m)
+            outcomes.add((member, cut_below(g, nums, den)))
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_odd_cuts_at_least_validation():
+    with pytest.raises(ValueError, match="even vertex count"):
+        odd_cuts_at_least(Multigraph(3, ((0, 1), (1, 2), (0, 2))), [1, 1, 1], 1)
+    with pytest.raises(ValueError, match="expected 15 weights"):
+        odd_cuts_at_least(petersen(), [1], 1)
+    assert odd_cuts_at_least(petersen(), [1] * 15, 3)
+    assert not odd_cuts_at_least(petersen(), [1] * 15, Fraction(31, 10))
 
 
 def test_tight_cuts_petersen_uniform():
