@@ -277,8 +277,7 @@ def _cover_result(rep) -> dict:
 
 
 def _cmd_cover(g: Multigraph, args):
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode,
-                       pm_cap=args.pm_cap, odd_cap=args.odd_cap)
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
     certs = [asdict(c) for c in rep.certificates]
     result = _cover_result(rep)
     text = _cover_text(rep)
@@ -412,8 +411,7 @@ def _cmd_bf_search(g: Multigraph, args):
 
 
 def _cmd_audit(g: Multigraph, args):
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode,
-                       pm_cap=args.pm_cap, odd_cap=args.odd_cap)
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
     fams = rep.certificates[-1].audit
     if fams is None:
         raise CapExceededError(

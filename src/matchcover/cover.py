@@ -9,19 +9,22 @@ Each iteration j picks a perfect matching and certifies its gain:
 * level L0: membership was not verified (or failed); the fallback
   certificate is the uniform-vector average, #uncovered / r.
 
-Two modes:
+Both modes pick with one blossom call on the gain vector (1 on an
+uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
+lexicographically least maximum); nothing is enumerated.
 
-* 'fast' picks a maximum-gain perfect matching outright (one blossom
-  call on id-perturbed weights, lexicographically least among ties).
-  Cheap, scales, and certificate levels report honestly whatever
-  membership turns out to be.
+* 'fast' maximizes gain outright.  Cheap, scales, and certificate
+  levels report honestly whatever membership turns out to be.
 * 'exact-lemma' restricts each pick to matchings crossing every tight
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
   polytope at every step for both parities of r, and it makes every
-  certificate L1.  Its tight cuts and its membership checks come from
-  one exhaustive cut-size scan per run plus per-matching crossing
-  updates, so it is capped to desk scale.
+  certificate L1.  The restriction is a penalty of n+1 per tight-cut
+  crossing: a perfect matching crosses an odd cut an odd number of
+  times, so one outside the face loses at least 2(n+1), more than any
+  gain.  Its tight cuts and its membership checks come from one
+  exhaustive cut-size scan per run plus per-matching crossing updates,
+  so it is capped to n <= odd_cap.
 
 At desk scale (n <= odd_cap) every step also carries an audit of the
 r-, (r+1)- and (r+2)-cut families, read from the same per-run tables.
@@ -51,7 +54,7 @@ from .fractional import (
     verify_membership,
     w_k_entry,
 )
-from .matching import Matching, enumerate_perfect_matchings, max_weight_perfect_matching
+from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (
     cut_values_by_code,
@@ -181,10 +184,6 @@ def _audit_families(r: int, k: int, codes, sizes, sums) -> tuple[CutFamilyAudit,
     return tuple(out)
 
 
-def _mask(edge_ids) -> int:
-    return sum(1 << e for e in edge_ids)
-
-
 def _tight_coefficients(r: int, step: int) -> tuple[int, int, int]:
     """(a, b, d) with w_step(count) = (a - b*count)/d on every edge.
 
@@ -246,16 +245,19 @@ def greedy_cover(
     r: int,
     k: int,
     mode: str = FAST,
-    pm_cap: int = 100_000,
     odd_cap: int = 20,
 ) -> CoverReport:
     """Cover edges with k greedily chosen perfect matchings and certify it.
 
     Requires an r-graph (NotRGraphError carries the violating odd cut
-    otherwise).  Gains are exact integers, predictions exact rationals;
-    the final fraction is compared against the product bound for (r, k).
-    Repetition of matchings is allowed; a step that gains nothing is
-    flagged stalled.
+    otherwise).  Each step is one blossom call; exact-lemma mode first
+    takes n+1 off an edge's gain per tight cut of w_j it crosses, which
+    leaves the lexicographically least maximum-gain matching of the face
+    those cuts span, and raises CapExceededError above odd_cap vertices,
+    where the exhaustive tight-cut scan stops.  Gains are exact integers,
+    predictions exact rationals; the final fraction is compared against
+    the product bound for (r, k).  Repetition of matchings is allowed; a
+    step that gains nothing is flagged stalled.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -276,8 +278,6 @@ def greedy_cover(
             f"exact-lemma mode enumerates tight cuts exhaustively; "
             f"n = {g.n} exceeds odd-cap {odd_cap}"
         )
-    pms = enumerate_perfect_matchings(g, pm_cap) if exact else ()
-    pm_masks = [_mask(pm.edge_ids) for pm in pms]
     cuts = (
         _OddCutTables(g, range(r, r + 3), k * g.n // 2, exact) if g.n <= odd_cap else None
     )
@@ -289,6 +289,7 @@ def greedy_cover(
             w: FractionalOneFactor = uniform(g, r)
         else:
             w = build_w_k(g, r, step, state.counts)
+        weights = [0 if e in state.covered else 1 for e in range(g.m)]
         if exact:
             a, b, d = _tight_coefficients(r, step)
             verified = _member_by_cut_table(g, w, cuts.values(a, b), d)
@@ -297,33 +298,29 @@ def greedy_cover(
                     f"exact-lemma step {step}: usage vector left the polytope; "
                     "selection rule is broken (internal bug)"
                 )
-            tights = cuts.tight(a, b, d)
-            cut_masks = [_mask(g.boundary(s)) for s in tights]
-            uncovered_mask = ~_mask(state.covered)
-            chosen = None
-            best_gain = -1
-            for pm, pm_mask in zip(pms, pm_masks):
-                if any((pm_mask & c).bit_count() != 1 for c in cut_masks):
-                    continue
-                gain = (pm_mask & uncovered_mask).bit_count()
-                if gain > best_gain:
-                    best_gain = gain
-                    chosen = pm
-            if chosen is None:
+            # w_j is a member, so some perfect matching crosses every tight
+            # cut once; any other crosses them at least twice more in total
+            # and loses 2*(n+1) > n/2 >= any gain
+            tight_cuts = [g.boundary(s) for s in cuts.tight(a, b, d)]
+            for cut in tight_cuts:
+                for e in cut:
+                    weights[e] -= g.n + 1
+            chosen = max_weight_perfect_matching(g, weights)
+            if any(chosen.crossings(cut) != 1 for cut in tight_cuts):
                 raise LemmaViolationError(
-                    f"exact-lemma step {step}: no perfect matching honors the "
-                    "tight cuts; extraction guarantee broken (internal bug)"
+                    f"exact-lemma step {step}: the chosen matching crosses a "
+                    "tight cut more than once; extraction guarantee broken "
+                    "(internal bug)"
                 )
             tight_honored = True
         else:
             verified = verify_membership(g, w).ok if step > 1 else None
-            weights = [0 if e in state.covered else 1 for e in range(g.m)]
             if certs and certs[-1].stalled:  # same weights as the last step
                 chosen = state.matchings[-1]
             else:
                 chosen = max_weight_perfect_matching(g, weights)
-            best_gain = sum(1 for e in chosen.edge_ids if e not in state.covered)
             tight_honored = None
+        best_gain = sum(1 for e in chosen.edge_ids if e not in state.covered)
         if verified:
             level = "L1"
             predicted = w_k_entry(r, step, 0) * uncovered

@@ -63,8 +63,30 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
     masks = _masks(pms)
     suf = _suffix_unions(masks)
     kk = min(k, len(pms))
-    per = g.n // 2
-    best = -1
+    best, best_sel = _best_subset(masks, suf, kk, g.n // 2, -1)
+    witness = best_sel + (best_sel[0],) * (k - kk) if k > kk else best_sel
+    witness = tuple(sorted(witness))
+    return ExactCoverage(
+        k=k,
+        fraction=Fraction(best, g.m),
+        witness_indices=witness,
+        matchings=tuple(pms[j] for j in witness),
+        pm_count=len(pms),
+    )
+
+
+def _best_subset(
+    masks: list[int], suf: list[int], kk: int, per: int, floor: int
+) -> tuple[int, tuple[int, ...]]:
+    """The most edges a union of kk of the masks covers, with the
+    lexicographically least index subset reaching it; (floor, ()) when
+    no subset covers more than floor edges.
+
+    suf holds the suffix unions of masks and per the edges in each
+    mask.  A branch is cut once its union bound, or its count plus per
+    edges for each mask still to pick, cannot beat the best so far.
+    """
+    best = floor
     best_sel: tuple[int, ...] = ()
     sel: list[int] = []
 
@@ -77,7 +99,7 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
                 best_sel = tuple(sel)
             return
         remaining = kk - depth
-        if len(pms) - idx < remaining:
+        if len(masks) - idx < remaining:
             return
         ub = (cur | suf[idx]).bit_count()
         cheap = cur.bit_count() + remaining * per
@@ -85,21 +107,13 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
             ub = cheap
         if ub <= best:
             return
-        for j in range(idx, len(pms) - remaining + 1):
+        for j in range(idx, len(masks) - remaining + 1):
             sel.append(j)
             rec(j + 1, depth + 1, cur | masks[j])
             sel.pop()
 
     rec(0, 0, 0)
-    witness = best_sel + (best_sel[0],) * (k - kk) if k > kk else best_sel
-    witness = tuple(sorted(witness))
-    return ExactCoverage(
-        k=k,
-        fraction=Fraction(best, g.m),
-        witness_indices=witness,
-        matchings=tuple(pms[j] for j in witness),
-        pm_count=len(pms),
-    )
+    return best, best_sel
 
 
 @dataclass(frozen=True)
@@ -133,29 +147,9 @@ def excessive_index(g: Multigraph, pm_cap: int = 100_000) -> ExcessiveIndexResul
             f"edge {missing} lies in no perfect matching", edge_id=missing
         )
     per = g.n // 2
-    k0 = max(1, -(-g.m // per))
-    sel: list[int] = []
-
-    def rec(idx: int, remaining: int, cur: int) -> tuple[int, ...] | None:
-        if cur == full:
-            return tuple(sel)
-        if remaining == 0 or len(pms) - idx < remaining:
-            return None
-        if (cur | suf[idx]) != full:
-            return None
-        if cur.bit_count() + remaining * per < g.m:
-            return None
-        for j in range(idx, len(pms) - remaining + 1):
-            sel.append(j)
-            got = rec(j + 1, remaining - 1, cur | masks[j])
-            if got is not None:
-                return got
-            sel.pop()
-        return None
-
-    for k in range(k0, len(pms) + 1):
-        got = rec(0, k, 0)
-        if got is not None:
+    for k in range(max(1, -(-g.m // per)), len(pms) + 1):
+        best, got = _best_subset(masks, suf, k, per, g.m - 1)
+        if best == g.m:
             return ExcessiveIndexResult(
                 value=len(got),
                 witness_indices=got,

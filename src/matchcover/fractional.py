@@ -293,8 +293,10 @@ def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverRes
     Depth-first over multiplicities 0..2 per enumerated matching, in
     matching order, trying higher multiplicities first so the first
     solution found is the lexicographically least multiset.  Pruning is
-    by per-edge remaining availability.  A negative answer means the
-    whole space was explored: a per-graph disproof.
+    by per-edge remaining availability.  The path is kept as a list, not
+    on the call stack, so the search runs at any matching count.  A
+    negative answer means the whole space was explored: a per-graph
+    disproof.
     """
     if g.n < 2:
         raise ValueError("double-cover search needs at least 2 vertices")
@@ -302,10 +304,8 @@ def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverRes
         raise NotRegularError(f"graph is not {r}-regular")
     pms = enumerate_perfect_matchings(g, cap)
     need = [2] * g.m
-    nodes = 0
-    picked: list[tuple[int, int]] = []  # (pm index, multiplicity)
 
-    # avail[j][e): twice the number of matchings with index >= j containing e
+    # avail[j][e]: twice the number of matchings with index >= j containing e
     avail = [[0] * g.m for _ in range(len(pms) + 1)]
     for j in range(len(pms) - 1, -1, -1):
         row = avail[j + 1][:]
@@ -313,29 +313,32 @@ def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverRes
             row[e] += 2
         avail[j] = row
 
-    def rec(j: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if all(x == 0 for x in need):
-            return True
-        if j == len(pms):
-            return False
-        if any(need[e] > avail[j][e] for e in range(g.m)):
-            return False
-        for t in (2, 1):
-            if all(need[e] >= t for e in pms[j].edge_ids):
-                for e in pms[j].edge_ids:
-                    need[e] -= t
-                picked.append((j, t))
-                if rec(j + 1):
-                    return True
-                picked.pop()
-                for e in pms[j].edge_ids:
-                    need[e] += t
-        return rec(j + 1)
+    picked: list[tuple[int, int]] = []  # (pm index, multiplicity) for 0..j-1
+    nodes = 0
+    below = 3  # multiplicities below this are still to try at j
+    while True:
+        j = len(picked)
+        if below == 3:  # a new node
+            nodes += 1
+            if not any(need):
+                break
+            if any(x > y for x, y in zip(need, avail[j])):  # also ends j == len(pms)
+                below = 0
+        t = next((t for t in (2, 1, 0) if t < below
+                  and all(need[e] >= t for e in pms[j].edge_ids)), None)
+        if t is not None:
+            for e in pms[j].edge_ids:
+                need[e] -= t
+            picked.append((j, t))
+            below = 3
+        elif picked:
+            j, below = picked.pop()
+            for e in pms[j].edge_ids:
+                need[e] += below
+        else:
+            break
 
-    found = rec(0)
-    if not found:
+    if any(need):
         return DoubleCoverResult(False, None, len(pms), nodes)
     out: list[Matching] = []
     for j, t in picked:

@@ -27,7 +27,7 @@ from matchcover import (
     uniform,
 )
 from matchcover.errors import NoPerfectMatchingError
-from matchcover.matching import Matching
+from matchcover.matching import Matching, enumerate_perfect_matchings
 from matchcover.oddcuts import (
     OddCutResult,
     _boundary_value,
@@ -36,6 +36,7 @@ from matchcover.oddcuts import (
     _positive_weight_components,
     _require_even,
     scale_weights,
+    tight_odd_cuts,
 )
 
 RANDOM_SPECS = (
@@ -268,3 +269,21 @@ def max_weight_perfect_matching_networkx(g: Multigraph, weights) -> Matching:
     if 2 * len(mate) < g.n:
         raise NoPerfectMatchingError("graph has no perfect matching")
     return Matching(tuple(best[(min(u, v), max(u, v))][1] for u, v in mate))
+
+
+def exact_lemma_pick_enumerated(g: Multigraph, w, covered) -> Matching:
+    """Oracle for exact-lemma `greedy_cover`'s pick at usage vector w with
+    the edge ids in `covered` already covered: enumerate every perfect
+    matching, keep those crossing each tight cut of w exactly once, and
+    take the first of most uncovered edges in sorted edge-id order."""
+    cut_masks = [sum(1 << e for e in g.boundary(s)) for s in tight_odd_cuts(g, w.values)]
+    uncovered = ~sum(1 << e for e in covered)
+    chosen, best_gain = None, -1
+    for pm in enumerate_perfect_matchings(g):
+        mask = sum(1 << e for e in pm.edge_ids)
+        if any((mask & c).bit_count() != 1 for c in cut_masks):
+            continue
+        gain = (mask & uncovered).bit_count()
+        if gain > best_gain:
+            chosen, best_gain = pm, gain
+    return chosen

@@ -174,8 +174,7 @@ def test_cover_json_schema(capsys):
 def test_cover_cap_exhaustion(capsys):
     code, _, err = run(
         capsys,
-        ["cover", "-r", "3", "-k", "2", "--mode", "exact-lemma",
-         "--gen", "petersen", "--pm-cap", "3"],
+        ["cover", "-r", "3", "-k", "2", "--mode", "exact-lemma", "--gen", "prism:11"],
     )
     assert code == 3
     assert "cap:" in err

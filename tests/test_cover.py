@@ -28,14 +28,14 @@ from matchcover import (
     random_regular,
     uniform,
 )
-from matchcover import fractional, oddcuts
+from matchcover import cover, exact, fractional, matching, oddcuts
 from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
 from matchcover.fractional import FractionalOneFactor, _member_by_cut_table
 from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
 
-from helpers import PETERSEN_PMS
+from helpers import CORPUS_IDS, PETERSEN_PMS, corpus, exact_lemma_pick_enumerated
 
 F = Fraction
 
@@ -119,9 +119,26 @@ def test_exact_lemma_size_cap():
         greedy_cover(g, 3, 2, mode=EXACT_LEMMA)
 
 
-def test_exact_lemma_pm_cap():
-    with pytest.raises(CapExceededError):
-        greedy_cover(petersen(), 3, 2, mode=EXACT_LEMMA, pm_cap=3)
+@pytest.mark.parametrize("case", corpus(), ids=CORPUS_IDS)
+def test_exact_lemma_picks_the_enumerated_selection(case):
+    _, g, r = case
+    rep = greedy_cover(g, r, 8, mode=EXACT_LEMMA)
+    state = CoverState.initial(g)
+    for step, m in enumerate(rep.matchings, 1):
+        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        assert m == exact_lemma_pick_enumerated(g, w, state.covered), step
+        state = state.extend(m)
+
+
+def test_cover_never_enumerates_perfect_matchings(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_cover enumerated perfect matchings")
+
+    for mod in (matching, cover, fractional, exact):
+        monkeypatch.setattr(mod, "enumerate_perfect_matchings", refuse, raising=False)
+    for mode in MODES:
+        assert greedy_cover(petersen(), 3, 6, mode=mode).fraction == 1
+        greedy_cover(random_regular(16, 4, 3), 4, 6, mode=mode)
 
 
 def test_fast_mode_skips_audit_beyond_cap():

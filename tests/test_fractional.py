@@ -341,6 +341,14 @@ def test_double_cover_refutation_is_exhaustive():
     assert res.pm_count == 4
 
 
+def test_double_cover_search_runs_past_the_recursion_limit():
+    # 3576 perfect matchings: a path longer than the default stack allows
+    res = bf_double_cover(random_regular(16, 6, 7), 6)
+    assert res.found
+    assert res.pm_count == 3576
+    assert res.nodes == 3493
+
+
 def test_double_cover_validation():
     with pytest.raises(ValueError):
         bf_double_cover(Multigraph(0, ()), 3)
