@@ -9,6 +9,11 @@ Each iteration j picks a perfect matching and certifies its gain:
 * level L0: membership was not verified (or failed); the fallback
   certificate is the uniform-vector average, #uncovered / r.
 
+w_j is built as integer numerators a - b*count over one denominator d
+and checked exactly against (i) and (ii).  The r-graph check and fast
+mode's (iii) are flow threshold decisions (`oddcuts._odd_cuts_at_least`);
+a Gomory-Hu tree is built only to name a rejected graph's witness.
+
 Both modes pick with one blossom call on the gain vector (1 on an
 uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
 lexicographically least maximum); nothing is enumerated.
@@ -29,9 +34,9 @@ lexicographically least maximum); nothing is enumerated.
 At desk scale (n <= odd_cap) every step also carries an audit of the
 r-, (r+1)- and (r+2)-cut families, read from the same per-run tables.
 
-A certified prediction that fails its exact comparison raises
-LemmaViolationError: that is an internal bug by construction, never a
-property of the input.
+A certified prediction that fails its exact comparison, or a w_j that
+fails (i) or (ii), raises LemmaViolationError: that is an internal bug
+by construction, never a property of the input.
 """
 
 from __future__ import annotations
@@ -46,14 +51,7 @@ from .errors import (
     LemmaViolationError,
     NotRGraphError,
 )
-from .fractional import (
-    FractionalOneFactor,
-    _member_by_cut_table,
-    build_w_k,
-    uniform,
-    verify_membership,
-    w_k_entry,
-)
+from .fractional import _local_failure, w_k_entry
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (
@@ -61,6 +59,7 @@ from .oddcuts import (
     is_r_graph,
     odd_subset_codes,
     _decode,
+    _odd_cuts_at_least,
     _OddCutTables,
 )
 
@@ -265,8 +264,8 @@ def greedy_cover(
         raise ValueError(f"k must be at least 1, got {k}")
     if g.n < 2:
         raise ValueError("cover needs at least 2 vertices")
-    ok, cut = is_r_graph(g, r)
-    if not ok:
+    if not g.is_regular(r) or g.n % 2 or _odd_cuts_at_least(g, [1] * g.m, r) is not None:
+        _, cut = is_r_graph(g, r)  # a tree for the witness, or NotRegularError
         raise NotRGraphError(
             f"not an r-graph: odd cut of value {cut.value} < {r}",
             witness=cut.witness,
@@ -285,14 +284,16 @@ def greedy_cover(
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):
         uncovered = g.m - len(state.covered)
-        if step == 1:
-            w: FractionalOneFactor = uniform(g, r)
-        else:
-            w = build_w_k(g, r, step, state.counts)
         weights = [0 if e in state.covered else 1 for e in range(g.m)]
-        if exact:
+        if exact or step > 1:
             a, b, d = _tight_coefficients(r, step)
-            verified = _member_by_cut_table(g, w, cuts.values(a, b), d)
+            nums = [a - b * c for c in state.counts]  # w_j = nums / d
+            if _local_failure(g, nums, d) is not None:
+                raise LemmaViolationError(
+                    f"step {step}: usage vector fails (i) or (ii) (internal bug)"
+                )
+        if exact:
+            verified = int(cuts.values(a, b).min()) >= d
             if not verified:
                 raise LemmaViolationError(
                     f"exact-lemma step {step}: usage vector left the polytope; "
@@ -314,7 +315,7 @@ def greedy_cover(
                 )
             tight_honored = True
         else:
-            verified = verify_membership(g, w).ok if step > 1 else None
+            verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None
             if certs and certs[-1].stalled:  # same weights as the last step
                 chosen = state.matchings[-1]
             else:
@@ -323,7 +324,7 @@ def greedy_cover(
         best_gain = sum(1 for e in chosen.edge_ids if e not in state.covered)
         if verified:
             level = "L1"
-            predicted = w_k_entry(r, step, 0) * uncovered
+            predicted = Fraction(a * uncovered, d)
         else:
             level = "L0"
             predicted = Fraction(uncovered, r)

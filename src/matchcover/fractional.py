@@ -19,6 +19,9 @@ depends on r: exactly 1/(2k+1) for r = 3, strictly above 1/(r+3) for
 even r and strictly above 1/(r+4) for odd r >= 5.  No constant floor
 holds for r = 3, because the cubic weights are forced by the cubic
 product bound 1 - prod (i+1)/(2i+1).
+
+`verify_membership` builds a Gomory-Hu tree only to report a failing
+vector's minimum cut; the greedy cover decides without it.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     if g.n % 2 == 1:
         cut = OddCutResult(Fraction(0), frozenset(range(g.n)))
         return MembershipReport(False, "odd_cut", cut, cut)
-    if _odd_cuts_at_least(g, nums, den):
+    if _odd_cuts_at_least(g, nums, den) is None:
         return MembershipReport(True, None, None, OddCutResult(Fraction(1), frozenset({1})))
     cut = min_odd_cut(g, w.values)
     return MembershipReport(False, "odd_cut", cut, cut)
@@ -170,13 +173,6 @@ def _local_failure(g: Multigraph, nums: list[int], den: int) -> MembershipReport
         if sum(nums[e] for e in g.incident(vtx)) != den:
             return MembershipReport(False, "vertex_sum", vtx)
     return None
-
-
-def _member_by_cut_table(g: Multigraph, w: FractionalOneFactor, cut_values, d: int) -> bool:
-    """verify_membership(g, w).ok with condition (iii) read off a table:
-    cut_values holds d times w(boundary(S)) for every odd set S, as the
-    per-run odd-cut table of a cover gives it, so no flow is run."""
-    return _local_failure(g, *scale_weights(w.values, g.m)) is None and int(cut_values.min()) >= d
 
 
 @dataclass(frozen=True)

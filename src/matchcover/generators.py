@@ -11,7 +11,7 @@ import random
 
 from .errors import GeneratorError
 from .multigraph import Multigraph
-from .oddcuts import is_r_graph
+from .oddcuts import _odd_cuts_at_least
 
 
 def petersen() -> Multigraph:
@@ -85,8 +85,7 @@ def random_regular(
         if any(u == v for u, v in pairs):
             continue
         g = Multigraph(n, tuple(pairs))
-        ok, _ = is_r_graph(g, r)
-        if ok:
+        if _odd_cuts_at_least(g, [1] * g.m, r) is None:
             return g
     raise GeneratorError(
         f"no {r}-regular odd-cut-feasible sample on {n} vertices "

@@ -15,8 +15,10 @@ routes find the minimum odd cut and are kept deliberately independent:
   but limited to small n.
 
 `odd_cuts_at_least` only decides whether every odd cut reaches a bound,
-the membership question, by Gomory-Hu contraction with flows stopped at
-the bound; `min_odd_cut_brute` is its oracle too.
+by Gomory-Hu contraction with flows stopped at the bound; the greedy
+cover and `random_regular` only decide.  Trees are built only where a
+minimum cut is reported: `is_r_graph` (the CLI's `check`) and a failing
+`verify_membership`.  `min_odd_cut_brute` is the decision's oracle too.
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
@@ -344,11 +346,13 @@ def odd_cuts_at_least(g: Multigraph, weights, bound) -> bool:
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
     b = Fraction(bound)
-    return _odd_cuts_at_least(g, [x * b.denominator for x in nums], b.numerator * den)
+    return _odd_cuts_at_least(g, [x * b.denominator for x in nums], b.numerator * den) is None
 
 
-def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> bool:
-    """Gomory-Hu's contraction method (1961) with flows stopped at bound.
+def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[int] | None:
+    """None if every odd cut weighs at least bound, else an odd vertex set
+    whose boundary weighs less: Gomory-Hu's contraction method (1961)
+    with flows stopped at bound.
 
     In a block lab[v] is v for an own vertex, the hub for one merged into
     it, and >= n in a contracted node.  The hub takes its heaviest own
@@ -359,7 +363,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> bool:
     is then a union of final hubs, each even as every split side was.
     """
     if bound <= 0:
-        return True
+        return None
     n = g.n
     head, cap, out = _flow_arcs(g, nums, range(n))
     blocks, fresh = [(list(range(n)), 0)], n
@@ -393,7 +397,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> bool:
                 left -= 1
                 continue
             if len(side) % 2:
-                return False
+                return frozenset(side)
             own = sum(lab[v] == v for v in side)
             t_lab = [fresh + 1] * n
             for v in side:
@@ -402,7 +406,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> bool:
             fresh, left = fresh + 2, left - own
             if own > 1:
                 blocks.append((t_lab, t))
-    return True
+    return None
 
 
 def _sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matchcover import (
     CapExceededError,
     CoverState,
+    LemmaViolationError,
     Matching,
     NotRegularError,
     NotRGraphError,
@@ -30,7 +31,7 @@ from matchcover import (
 )
 from matchcover import cover, exact, fractional, matching, oddcuts
 from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
-from matchcover.fractional import FractionalOneFactor, _member_by_cut_table
+from matchcover.fractional import FractionalOneFactor, _local_failure
 from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
@@ -97,6 +98,28 @@ def test_rejects_non_r_graph():
         greedy_cover(bridge_pair(), 3, 2)
     assert exc.value.value == 1
     assert exc.value.witness == {5, 6, 7, 8, 9}
+
+
+def test_rejects_odd_order():
+    k5 = Multigraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
+    with pytest.raises(NotRGraphError) as exc:
+        greedy_cover(k5, 4, 2)
+    assert exc.value.value == 0
+    assert exc.value.witness == frozenset(range(5))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_usage_vector_failing_a_local_condition_raises(monkeypatch, mode):
+    # off coefficients break the vertex sums at step 2; never a quiet L0
+    real = cover._tight_coefficients
+
+    def off(r, step):
+        a, b, d = real(r, step)
+        return a + (step > 1), b, d
+
+    monkeypatch.setattr(cover, "_tight_coefficients", off)
+    with pytest.raises(LemmaViolationError, match="step 2: usage vector fails"):
+        greedy_cover(petersen(), 3, 3, mode=mode)
 
 
 def test_rejects_irregular():
@@ -377,9 +400,8 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
 
 
 @pytest.mark.parametrize("n,r,seed,failing", [(200, 3, 1, 0), (100, 3, 1, 1), (40, 3, 3, 7)])
-def test_fast_cover_builds_odd_cut_trees_only_for_failing_steps(monkeypatch, n, r, seed, failing):
-    # the r-graph check builds one; membership builds one per failing step
-    g = random_regular(n, r, seed)
+def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, failing):
+    # the r-graph check and membership are decisions, failing steps included
     calls = []
     real = oddcuts.min_odd_cut
 
@@ -389,9 +411,10 @@ def test_fast_cover_builds_odd_cut_trees_only_for_failing_steps(monkeypatch, n, 
 
     monkeypatch.setattr(oddcuts, "min_odd_cut", counted)
     monkeypatch.setattr(fractional, "min_odd_cut", counted)
-    rep = greedy_cover(g, r, 8, mode=FAST)
+    rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
     assert sum(c.membership_verified is False for c in rep.certificates) == failing
-    assert len(calls) == 1 + failing
+    assert greedy_cover(random_regular(20, r, seed), r, 8, mode=EXACT_LEMMA).all_l1
+    assert calls == []
 
 
 # fast covers whose usage vectors leave the polytope at some step
@@ -408,15 +431,18 @@ def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
     outcomes = []
     for step, m in enumerate(rep.matchings, 1):
         w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        # the integer vector the cover builds is w_j; the table decides (iii)
         a, b, d = _tight_coefficients(r, step)
-        vals = cuts.values(a, b)
-        ok = _member_by_cut_table(g, w, vals, d)
+        nums = [a - b * c for c in state.counts]
+        assert [F(x, d) for x in nums] == list(w.values)
+        assert _local_failure(g, nums, d) is None
+        ok = int(cuts.values(a, b).min()) >= d
         assert ok == verify_membership(g, w).ok
+        assert rep.certificates[step - 1].membership_verified is (ok if step > 1 else None)
         outcomes.append(ok)
-        # condition (ii) still counts when the table alone would pass
-        off = FractionalOneFactor((F(0),) + w.values[1:])
-        assert not _member_by_cut_table(g, off, vals, d)
-        assert not verify_membership(g, off).ok
+        # condition (ii) is the local check's: the table alone cannot see it
+        assert _local_failure(g, [0] + nums[1:], d).condition == "vertex_sum"
+        assert not verify_membership(g, FractionalOneFactor((F(0),) + w.values[1:])).ok
         state = state.extend(m)
         cuts.add(m.edge_ids)
     assert outcomes[0] is True

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +20,11 @@ from matchcover import (
     random_regular,
     uniform,
 )
+from matchcover import generators
 from matchcover.oddcuts import (
     _boundary_value,
     _gomory_hu_tree,
+    _odd_cuts_at_least,
     is_r_graph,
     min_odd_cut,
     min_odd_cut_brute,
@@ -157,24 +160,45 @@ def test_min_odd_cut_matches_networkx_tree_and_brute_force(gw):
     assert res.value == min_odd_cut_brute(g, w).value
 
 
-# The bound at the minimum passes; just above it fails.  The examples
-# hold odd positive components, apart or linked by a zero-weight edge,
-# and two 4-cycles whose light links are the only cut below the minimum
-# odd cut, an even one (the split path).
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(nonnegative_weighted_multigraphs(), st.sampled_from((-1, 0, 1)))
-@example(weighted(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], [1] * 6), 1)
-@example(weighted(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], [1] * 6 + [0]), 1)
-@example(weighted(
-    8,
-    [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (2, 6)],
-    [2] * 8 + [Fraction(1, 4)] * 2,
-), 0)
+def threshold_cases(test):
+    """Weighted graphs and a bound offset -1, 0 or +1/1000 from the
+    minimum odd cut: the bound at the minimum passes, just above it
+    fails.  The examples hold odd positive components, apart or linked
+    by a zero-weight edge, and two 4-cycles whose light links are the
+    only cut below the minimum odd cut, an even one (the split path)."""
+    test = example(weighted(
+        8,
+        [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (2, 6)],
+        [2] * 8 + [Fraction(1, 4)] * 2,
+    ), 0)(test)
+    test = example(weighted(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], [1] * 6 + [0]
+    ), 1)(test)
+    test = example(weighted(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], [1] * 6), 1)(test)
+    test = given(nonnegative_weighted_multigraphs(), st.sampled_from((-1, 0, 1)))(test)
+    return settings(derandomize=True, deadline=None, max_examples=300)(test)
+
+
+@threshold_cases
 def test_odd_cuts_at_least_matches_brute_force(gw, offset):
     g, w = gw
     best = min_odd_cut_brute(g, w).value
     bound = best + offset * Fraction(1, 1000)
     assert odd_cuts_at_least(g, w, bound) is (best >= bound)
+
+
+@threshold_cases
+def test_odd_cuts_at_least_returns_an_odd_side_below_the_bound(gw, offset):
+    g, w = gw
+    best = min_odd_cut_brute(g, w).value
+    bound = best + offset * Fraction(1, 1000)
+    den = lcm(bound.denominator, *(x.denominator for x in w))
+    side = _odd_cuts_at_least(g, [int(x * den) for x in w], int(bound * den))
+    if best >= bound:
+        assert side is None
+    else:
+        assert len(side) % 2 == 1
+        assert cut_weight(g, w, side) < bound
 
 
 def cut_below(g, nums, bound):
@@ -289,6 +313,31 @@ def test_is_r_graph_empty_graph():
 def test_is_r_graph_requires_regularity():
     with pytest.raises(NotRegularError):
         is_r_graph(k33(), 4)
+
+
+def test_random_regular_accepts_exactly_the_r_graphs(monkeypatch):
+    # every loop-free pairing sample the generator decides on, is_r_graph judges
+    samples = []
+    real = generators._odd_cuts_at_least
+
+    def recorded(g, nums, bound):
+        samples.append((g, bound, real(g, nums, bound)))
+        return samples[-1][2]
+
+    monkeypatch.setattr(generators, "_odd_cuts_at_least", recorded)
+    rejected = 0
+    for r in (3, 4, 5):
+        for n in range(6, 17, 2):
+            for seed in range(4):
+                samples.clear()
+                g = random_regular(n, r, seed)
+                assert samples[-1][0] is g
+                for h, bound, side in samples:
+                    assert bound == r
+                    assert is_r_graph(h, r)[0] is (side is None)
+                    assert (side is None) is (h is g)
+                rejected += len(samples) - 1
+    assert rejected > 0
 
 
 def test_corpus_graphs_all_pass():
