@@ -13,6 +13,7 @@ and a machine-parsable exit_reason; rationals are reduced 'p/q' strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -115,6 +116,7 @@ def _classify(exc: Exception) -> _Failure:
     return _Failure(4, f"internal: {type(exc).__name__}: {exc}")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so main() builds it once
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="matchcover",

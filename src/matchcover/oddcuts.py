@@ -11,8 +11,10 @@ routes find the minimum odd cut and are kept deliberately independent:
   builds.  Scales to every size this package targets.
 
 * `min_odd_cut_brute` scans all odd subsets directly and is the oracle
-  the production path is tested against.  It is exact and vectorized,
-  but limited to small n.
+  the production path is tested against.  Like `tight_odd_cuts` and the
+  cover's per-run tables, it reads every subset's exact cut value off
+  `cut_values_by_code`, built by doubling over the vertices in O(2^n),
+  so it is limited to small n.
 
 `odd_cuts_at_least` only decides whether every odd cut reaches a bound,
 by Gomory-Hu contraction with flows stopped at the bound; the greedy
@@ -84,13 +86,13 @@ def _lex_key(s: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-def _subset_codes(n: int) -> np.ndarray:
-    nbits = n - 1
-    if nbits > BRUTE_LIMIT - 1:
+def _code_count(n: int) -> int:
+    """The number 2^(n-1) of subset codes of {1..n-1}, within the scan's cap."""
+    if n - 1 > BRUTE_LIMIT - 1:
         raise CapExceededError(
             f"exhaustive odd-subset scan limited to n <= {BRUTE_LIMIT}, got n = {n}"
         )
-    return np.arange(1 << nbits, dtype=np.uint32)
+    return 1 << (n - 1)
 
 
 def odd_subset_codes(n: int):
@@ -98,12 +100,14 @@ def odd_subset_codes(n: int):
 
     Code c encodes the set {v : bit (v-1) of c is set}; vertex 0 is
     never a member, so for even n each odd cut appears exactly once.
+    The mask is built by doubling, in O(2^n): code 2^(v-1) + c adds v to
+    the set of c < 2^(v-1), so its parity is the negation of c's.
     """
-    codes = _subset_codes(n)
-    par = codes.copy()
-    for shift in (1, 2, 4, 8, 16):
-        par ^= par >> shift
-    return codes, (par & 1).astype(bool)
+    odd = np.zeros(_code_count(n), dtype=bool)
+    for v in range(1, n):
+        size = 1 << (v - 1)
+        np.logical_not(odd[:size], out=odd[size : 2 * size])
+    return np.arange(len(odd), dtype=np.uint32), odd
 
 
 def _add_crossings(table: np.ndarray, codes: np.ndarray, u: int, v: int, w: int = 1):
@@ -118,27 +122,28 @@ def _add_crossings(table: np.ndarray, codes: np.ndarray, u: int, v: int, w: int 
 def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
     """Integer cut value (in numerator units) for every subset code of g.
 
-    Falls back to exact Python integers if the totals could overflow int64.
+    Built by doubling, in O(2^n + sum_v deg(v) 2^(v-1)): code 2^(v-1) + c
+    adds v to the set of c < 2^(v-1), so its cut is cut[c] plus v's weighted
+    degree, minus twice each edge from v to a member u >= 1 of that set (a
+    strided view per lower neighbour).  Entries are int64, or exact Python
+    integers when the totals could overflow int64.
     """
-    codes = _subset_codes(g.n)
-    total = sum(abs(x) for x in nums)
-    if total < (1 << 62):
-        cut = np.zeros(len(codes), dtype=np.int64)
-        for eid, (u, v) in enumerate(g.edges):
-            if nums[eid] != 0:
-                _add_crossings(cut, codes, u, v, nums[eid])
-        return cut
-    # arbitrary-precision fallback, slow but exact
-    out = np.empty(len(codes), dtype=object)
-    for c in range(len(codes)):
-        acc = 0
-        for eid, (u, v) in enumerate(g.edges):
-            inu = u != 0 and (c >> (u - 1)) & 1
-            inv = (c >> (v - 1)) & 1
-            if inu != inv:
-                acc += nums[eid]
-        out[c] = acc
-    return out
+    wdeg = [0] * g.n
+    lower: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for (u, v), x in zip(g.edges, nums):
+        wdeg[u] += x
+        wdeg[v] += x
+        if u != 0 and x != 0:
+            lower[v][u] = lower[v].get(u, 0) + x
+    big = sum(abs(x) for x in nums) >= 1 << 62
+    cut = np.zeros(_code_count(g.n), dtype=object if big else np.int64)
+    for v in range(1, g.n):
+        size = 1 << (v - 1)
+        half = cut[size : 2 * size]
+        np.add(cut[:size], wdeg[v], out=half)
+        for u, x in lower[v].items():
+            half.reshape(-1, 1 << u)[:, 1 << (u - 1) :] -= 2 * x
+    return cut
 
 
 def _decode(code: int) -> frozenset[int]:
@@ -186,20 +191,23 @@ class _OddCutTables:
     crossings of the edges added since, updated edge by edge.
 
     `fam_codes`, `fam_sizes` and `fam_sums` cover the odd sets whose cut
-    size lies in `family`, in ascending code order; with `full`, `counts`
-    holds the crossings of every odd set, for `tight`.  Sizes are at most
-    m and counts at most `max_count`, which pick the narrow dtypes.
+    size lies in `family`, in ascending code order; with `full`, `codes`,
+    `sizes` and `counts` cover every odd set, for `tight`.  Sizes and
+    parities come from the O(2^n) doubling kernels over all codes.  Sizes
+    are at most m and counts at most `max_count`, which pick the narrow dtypes.
     """
 
     def __init__(self, g: Multigraph, family: range, max_count: int, full: bool):
         self.edges = g.edges
         codes, odd = odd_subset_codes(g.n)
-        self.codes = codes[odd]
-        self.sizes = cut_values_by_code(g, [1] * g.m)[odd].astype(np.min_scalar_type(g.m))
+        sizes = cut_values_by_code(g, [1] * g.m).astype(np.min_scalar_type(g.m))
         count_type = np.min_scalar_type(max_count)
-        fam = (self.sizes >= family.start) & (self.sizes < family.stop)
-        self.fam_codes, self.fam_sizes = self.codes[fam], self.sizes[fam]
+        fam = odd & (sizes >= family.start) & (sizes < family.stop)
+        self.fam_codes = np.flatnonzero(fam).astype(np.uint32)
+        self.fam_sizes = sizes[self.fam_codes]
         self.fam_sums = np.zeros(len(self.fam_codes), dtype=count_type)
+        if full:
+            self.codes, self.sizes = codes[odd], sizes[odd]
         self.counts = np.zeros(len(self.codes), dtype=count_type) if full else None
 
     def add(self, edge_ids):

@@ -138,6 +138,22 @@ PETERSEN_M_EXACT = {
 }
 
 
+def cut_values_oracle(g: Multigraph, nums) -> list[int]:
+    """Oracle for `cut_values_by_code`: for every subset code c of
+    {1..n-1} (vertex v is in the set when bit v-1 of c is set), the sum
+    of nums over the edges with exactly one endpoint in the set."""
+    out = []
+    for c in range(1 << (g.n - 1)):
+        side = {v for v in range(1, g.n) if c >> (v - 1) & 1}
+        out.append(sum(x for (u, v), x in zip(g.edges, nums) if (u in side) != (v in side)))
+    return out
+
+
+def odd_codes_oracle(n: int) -> list[bool]:
+    """Oracle for `odd_subset_codes`' mask: whether each code has odd popcount."""
+    return [bin(c).count("1") % 2 == 1 for c in range(1 << (n - 1))]
+
+
 def min_odd_cut_networkx(g: Multigraph, weights) -> OddCutResult:
     """Oracle for `min_odd_cut`: the same candidate scan over networkx's
     Gomory-Hu tree (Edmonds-Karp flows), rooted at min(comp) per component."""

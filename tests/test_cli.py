@@ -377,3 +377,26 @@ def test_corpus_excludes_other_sources(capsys, clean_corpus_dir, tmp_path):
         assert code == 2
         assert rep["exit_reason"] == reason
         assert rep["graph"] is None and rep["result"] == {}
+
+
+def _bytes_of(capsysbinary, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    out, err = capsysbinary.readouterr()
+    return code, out, err
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_parser(capsysbinary):
+    bad = ["cover", "-r", "3", "--gen", "petersen"]  # no -k: argparse exits 2
+    good = ["cover", "-r", "3", "-k", "3", "--gen", "petersen"]
+    fresh = []
+    for argv in (bad, good):
+        cli.build_parser.cache_clear()
+        fresh.append(_bytes_of(capsysbinary, argv))
+    assert [code for code, _, _ in fresh] == [2, 0]
+    cli.build_parser.cache_clear()
+    cached = [_bytes_of(capsysbinary, argv) for argv in (bad, good, good)]
+    assert cli.build_parser.cache_info().hits == 2
+    assert cached == [fresh[0], fresh[1], fresh[1]]

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,15 +26,24 @@ from matchcover.oddcuts import (
     _boundary_value,
     _gomory_hu_tree,
     _odd_cuts_at_least,
+    _OddCutTables,
+    cut_values_by_code,
     is_r_graph,
     min_odd_cut,
     min_odd_cut_brute,
     odd_cuts_at_least,
+    odd_subset_codes,
     scale_weights,
     tight_odd_cuts,
 )
 
-from helpers import corpus, fast_cover_step_vectors, min_odd_cut_networkx
+from helpers import (
+    corpus,
+    cut_values_oracle,
+    fast_cover_step_vectors,
+    min_odd_cut_networkx,
+    odd_codes_oracle,
+)
 
 
 def cut_weight(g, weights, side):
@@ -266,6 +276,46 @@ def test_brute_force_cap():
         min_odd_cut_brute(g, [1] * g.m)
     # the tree route has no such limit
     assert min_odd_cut(g, [1] * g.m).value == 3
+
+
+def kernel_case(n, big):
+    """A multigraph on n vertices with parallel edges, edges at vertex 0,
+    an isolated vertex (n >= 3) and zero weights; with `big`, the weights
+    total at least 2^62, beyond int64's safe range."""
+    rng = random.Random(n)
+    isolated = n // 2 if n >= 3 else None
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if isolated not in (u, v)]
+    edges = [rng.choice(pairs) for _ in range(2 * n)] if pairs else []
+    edges += edges[:2] + [(0, v) for v in (1, n - 1) if 0 < v < n and v != isolated]
+    top = 1 << 62 if big else 5
+    nums = [top, 0] + [rng.choice((0, 1, top - 1, top)) for _ in edges[2:]]
+    return Multigraph(n, tuple(edges)), nums[: len(edges)]
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subset_code_kernels_match_oracles(n, big):
+    g, nums = kernel_case(n, big)
+    assert (sum(nums) >= 1 << 62) is big or n == 1
+    cut = cut_values_by_code(g, nums)
+    assert [int(x) for x in cut] == cut_values_oracle(g, nums)
+    codes, odd = odd_subset_codes(n)
+    assert codes.tolist() == list(range(1 << (n - 1)))
+    assert odd.tolist() == odd_codes_oracle(n)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_odd_cut_tables_filter_the_oracle(full):
+    for name, g, r in corpus():
+        sizes, odd = cut_values_oracle(g, [1] * g.m), odd_codes_oracle(g.n)
+        fam = [c for c in range(len(odd)) if odd[c] and r <= sizes[c] < r + 3]
+        tables = _OddCutTables(g, range(r, r + 3), 6 * g.n // 2, full)
+        assert tables.fam_codes.dtype == np.uint32, name
+        assert tables.fam_codes.tolist() == fam, name
+        assert tables.fam_sizes.tolist() == [sizes[c] for c in fam], name
+        if full:
+            assert tables.codes.tolist() == [c for c in range(len(odd)) if odd[c]], name
+            assert tables.sizes.tolist() == [sizes[c] for c in tables.codes], name
 
 
 def test_scale_weights():
