@@ -29,7 +29,7 @@ from .bounds import (
     product_bound,
     small_k_bound,
 )
-from .cover import FAST, MODES, audits_pass, greedy_cover
+from .cover import FAST, MODES, audits_pass, greedy_cover, require_cover_input
 from .errors import (
     CapExceededError,
     EdgeListError,
@@ -413,12 +413,13 @@ def _cmd_bf_search(g: Multigraph, args):
 
 
 def _cmd_audit(g: Multigraph, args):
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
-    fams = rep.certificates[-1].audit
-    if fams is None:
+    require_cover_input(g, args.r, args.k, args.mode)
+    if g.n > args.odd_cap:  # refuse before covering
         raise CapExceededError(
             f"audit needs an exhaustive scan; n = {g.n} exceeds odd-cap {args.odd_cap}"
         )
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
+    fams = rep.certificates[-1].audit
     result = {"audit": [asdict(f) for f in fams], "mode": args.mode,
               "fraction": format_fraction(rep.fraction)}
     text = [_audit_text(fams)]

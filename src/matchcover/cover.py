@@ -10,11 +10,11 @@ Each iteration j picks a perfect matching and certifies its gain:
   certificate is the uniform-vector average, #uncovered / r.
 
 w_j is built as integer numerators a - b*count over one denominator d
-and checked exactly against (i) and (ii).  The r-graph check and fast
-mode's (iii) are flow threshold decisions (`oddcuts._odd_cuts_at_least`);
+and checked exactly against (i) and (ii).  The r-graph check and (iii)
+in both modes are flow threshold decisions (`oddcuts._odd_cuts_at_least`);
 a Gomory-Hu tree is built only to name a rejected graph's witness.
 
-Both modes pick with one blossom call on the gain vector (1 on an
+Both modes pick with blossom calls on the gain vector (1 on an
 uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
 lexicographically least maximum); nothing is enumerated.
 
@@ -24,15 +24,17 @@ lexicographically least maximum); nothing is enumerated.
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
   polytope at every step for both parities of r, and it makes every
-  certificate L1.  The restriction is a penalty of n+1 per tight-cut
-  crossing: a perfect matching crosses an odd cut an odd number of
-  times, so one outside the face loses at least 2(n+1), more than any
-  gain.  Its tight cuts and its membership checks come from one
-  exhaustive cut-size scan per run plus per-matching crossing updates,
-  so it is capped to n <= odd_cap.
+  certificate L1.  The restriction is a penalty of n+1 per crossing of
+  a tight cut found so far: a perfect matching crosses an odd cut an
+  odd number of times, so one crossing such a cut thrice loses at least
+  2(n+1), more than any gain.  The tight cuts come as cutting planes
+  from the flow decision: one decision per pick both checks membership
+  and names a tight cut the pick crosses more than once, if any, and
+  the pick is made again.  Nothing is scanned, so it runs at every n.
 
 At desk scale (n <= odd_cap) every step also carries an audit of the
-r-, (r+1)- and (r+2)-cut families, read from the same per-run tables.
+r-, (r+1)- and (r+2)-cut families, read off one per-run table of those
+families.
 
 A certified prediction that fails its exact comparison, or a w_j that
 fails (i) or (ii), raises LemmaViolationError: that is an internal bug
@@ -46,11 +48,7 @@ from fractions import Fraction
 from math import lcm
 
 from .bounds import product_bound
-from .errors import (
-    CapExceededError,
-    LemmaViolationError,
-    NotRGraphError,
-)
+from .errors import CapExceededError, LemmaViolationError, NotRGraphError
 from .fractional import _local_failure, w_k_entry
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
@@ -239,25 +237,42 @@ class CoverReport:
         return all(c.level == "L1" for c in self.certificates)
 
 
-def greedy_cover(
-    g: Multigraph,
-    r: int,
-    k: int,
-    mode: str = FAST,
-    odd_cap: int = 20,
-) -> CoverReport:
-    """Cover edges with k greedily chosen perfect matchings and certify it.
+def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, step: int) -> Matching:
+    """The lexicographically least max-gain perfect matching crossing
+    every tight cut of w = nums/d once; proves w a member on the way.
 
-    Requires an r-graph (NotRGraphError carries the violating odd cut
-    otherwise).  Each step is one blossom call; exact-lemma mode first
-    takes n+1 off an edge's gain per tight cut of w_j it crosses, which
-    leaves the lexicographically least maximum-gain matching of the face
-    those cuts span, and raises CapExceededError above odd_cap vertices,
-    where the exhaustive tight-cut scan stops.  Gains are exact integers,
-    predictions exact rationals; the final fraction is compared against
-    the product bound for (r, k).  Repetition of matchings is allowed; a
-    step that gains nothing is flagged stalled.
+    With K = n+1 and y = K*nums - chi_M, every odd cut of y weighs at
+    least K*d - 1 iff w is a member and M crosses each tight cut once: a
+    tight cut weighs K*d - (crossings), any other at least
+    K*d + K - n/2.  So a side the decision returns is a tight cut M
+    crosses 3 or more times: it joins the cuts penalised in weights, and
+    M is picked again.  A passing M is the least maximum of the face of
+    the penalised cuts, which contains the face of all tight cuts.
     """
+    big = g.n + 1
+    penalised: list[frozenset[int]] = []
+    while True:
+        chosen = max_weight_perfect_matching(g, weights)
+        y = [big * x for x in nums]
+        for e in chosen.edge_ids:
+            y[e] -= 1
+        side = _odd_cuts_at_least(g, y, big * d - 1)
+        if side is None:
+            return chosen
+        cut = g.boundary(side)
+        if cut in penalised or sum(nums[e] for e in cut) != d:
+            raise LemmaViolationError(
+                f"exact-lemma step {step}: usage vector left the polytope, or the "
+                "pick crosses a penalised tight cut more than once (internal bug)"
+            )
+        penalised.append(cut)
+        for e in cut:
+            weights[e] -= big
+
+
+def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
+    """Raise what greedy_cover raises on bad arguments or a graph that is
+    not an r-graph (NotRGraphError carries the violating odd cut)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
@@ -271,15 +286,28 @@ def greedy_cover(
             witness=cut.witness,
             value=cut.value,
         )
+
+
+def greedy_cover(
+    g: Multigraph,
+    r: int,
+    k: int,
+    mode: str = FAST,
+    odd_cap: int = 20,
+) -> CoverReport:
+    """Cover edges with k greedily chosen perfect matchings and certify it.
+
+    Requires an r-graph (see require_cover_input).  Fast mode makes one
+    blossom call per step, exact-lemma mode one per cutting-plane round
+    of _exact_lemma_pick; both run at every n, and odd_cap bounds only
+    the audit (None above it).  Gains are exact integers, predictions
+    exact rationals; the final fraction is compared against the product
+    bound for (r, k).  Repetition of matchings is allowed; a step that
+    gains nothing is flagged stalled.
+    """
+    require_cover_input(g, r, k, mode)
     exact = mode == EXACT_LEMMA
-    if exact and g.n > odd_cap:
-        raise CapExceededError(
-            f"exact-lemma mode enumerates tight cuts exhaustively; "
-            f"n = {g.n} exceeds odd-cap {odd_cap}"
-        )
-    cuts = (
-        _OddCutTables(g, range(r, r + 3), k * g.n // 2, exact) if g.n <= odd_cap else None
-    )
+    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2) if g.n <= odd_cap else None
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):
@@ -293,27 +321,8 @@ def greedy_cover(
                     f"step {step}: usage vector fails (i) or (ii) (internal bug)"
                 )
         if exact:
-            verified = int(cuts.values(a, b).min()) >= d
-            if not verified:
-                raise LemmaViolationError(
-                    f"exact-lemma step {step}: usage vector left the polytope; "
-                    "selection rule is broken (internal bug)"
-                )
-            # w_j is a member, so some perfect matching crosses every tight
-            # cut once; any other crosses them at least twice more in total
-            # and loses 2*(n+1) > n/2 >= any gain
-            tight_cuts = [g.boundary(s) for s in cuts.tight(a, b, d)]
-            for cut in tight_cuts:
-                for e in cut:
-                    weights[e] -= g.n + 1
-            chosen = max_weight_perfect_matching(g, weights)
-            if any(chosen.crossings(cut) != 1 for cut in tight_cuts):
-                raise LemmaViolationError(
-                    f"exact-lemma step {step}: the chosen matching crosses a "
-                    "tight cut more than once; extraction guarantee broken "
-                    "(internal bug)"
-                )
-            tight_honored = True
+            chosen = _exact_lemma_pick(g, nums, d, weights, step)
+            verified = tight_honored = True
         else:
             verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None
             if certs and certs[-1].stalled:  # same weights as the last step

@@ -12,15 +12,17 @@ routes find the minimum odd cut and are kept deliberately independent:
 
 * `min_odd_cut_brute` scans all odd subsets directly and is the oracle
   the production path is tested against.  Like `tight_odd_cuts` and the
-  cover's per-run tables, it reads every subset's exact cut value off
-  `cut_values_by_code`, built by doubling over the vertices in O(2^n),
-  so it is limited to small n.
+  cover's per-run audit table, it reads every subset's exact cut value
+  off `cut_values_by_code`, built by doubling over the vertices in
+  O(2^n), so it is limited to small n.
 
 `odd_cuts_at_least` only decides whether every odd cut reaches a bound,
-by Gomory-Hu contraction with flows stopped at the bound; the greedy
-cover and `random_regular` only decide.  Trees are built only where a
-minimum cut is reported: `is_r_graph` (the CLI's `check`) and a failing
-`verify_membership`.  `min_odd_cut_brute` is the decision's oracle too.
+by Gomory-Hu contraction with flows stopped at the bound; its private
+form also names an odd side below the bound, which exact-lemma covers
+take as a cutting plane.  The greedy cover and `random_regular` only
+decide.  Trees are built only where a minimum cut is reported:
+`is_r_graph` (the CLI's `check`) and a failing `verify_membership`.
+`min_odd_cut_brute` is the decision's oracle too.
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
@@ -110,15 +112,6 @@ def odd_subset_codes(n: int):
     return np.arange(len(odd), dtype=np.uint32), odd
 
 
-def _add_crossings(table: np.ndarray, codes: np.ndarray, u: int, v: int, w: int = 1):
-    """Add w to table[i] wherever edge (u, v), u < v, crosses the set of codes[i]."""
-    bit = codes >> np.uint32(v - 1)
-    if u != 0:  # vertex 0 is never a member
-        bit ^= codes >> np.uint32(u - 1)
-    bit &= np.uint32(1)
-    table += bit if w == 1 else bit.astype(table.dtype) * w
-
-
 def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
     """Integer cut value (in numerator units) for every subset code of g.
 
@@ -178,58 +171,36 @@ def tight_odd_cuts(g: Multigraph, weights, cap: int = 20) -> tuple[frozenset[int
     nums, den = scale_weights(weights, g.m)
     codes, odd = odd_subset_codes(g.n)
     cut = cut_values_by_code(g, nums)
-    return _decoded_sorted(codes[odd][cut[odd] == den])
-
-
-def _decoded_sorted(codes) -> tuple[frozenset[int], ...]:
-    """The vertex sets of subset codes, in lexicographic order of sorted tuples."""
-    return tuple(sorted((_decode(c) for c in codes), key=_lex_key))
+    return tuple(sorted((_decode(c) for c in codes[odd][cut[odd] == den]), key=_lex_key))
 
 
 class _OddCutTables:
-    """The odd sets of g with their cut sizes, scanned once, and the
-    crossings of the edges added since, updated edge by edge.
+    """The odd sets of g whose cut size lies in `family`, scanned once,
+    with the crossings of the edges added since, updated edge by edge.
 
-    `fam_codes`, `fam_sizes` and `fam_sums` cover the odd sets whose cut
-    size lies in `family`, in ascending code order; with `full`, `codes`,
-    `sizes` and `counts` cover every odd set, for `tight`.  Sizes and
-    parities come from the O(2^n) doubling kernels over all codes.  Sizes
-    are at most m and counts at most `max_count`, which pick the narrow dtypes.
+    `fam_codes`, `fam_sizes` and `fam_sums` list those sets in ascending
+    code order, for the cover's per-step audit.  Sizes and parities come
+    from the O(2^n) doubling kernels over all codes.  Sizes are at most m
+    and counts at most `max_count`, which pick the narrow dtypes.
     """
 
-    def __init__(self, g: Multigraph, family: range, max_count: int, full: bool):
+    def __init__(self, g: Multigraph, family: range, max_count: int):
         self.edges = g.edges
-        codes, odd = odd_subset_codes(g.n)
+        _, odd = odd_subset_codes(g.n)
         sizes = cut_values_by_code(g, [1] * g.m).astype(np.min_scalar_type(g.m))
-        count_type = np.min_scalar_type(max_count)
         fam = odd & (sizes >= family.start) & (sizes < family.stop)
         self.fam_codes = np.flatnonzero(fam).astype(np.uint32)
         self.fam_sizes = sizes[self.fam_codes]
-        self.fam_sums = np.zeros(len(self.fam_codes), dtype=count_type)
-        if full:
-            self.codes, self.sizes = codes[odd], sizes[odd]
-        self.counts = np.zeros(len(self.codes), dtype=count_type) if full else None
+        self.fam_sums = np.zeros(len(self.fam_codes), dtype=np.min_scalar_type(max_count))
 
     def add(self, edge_ids):
         for e in edge_ids:
-            u, v = self.edges[e]
-            _add_crossings(self.fam_sums, self.fam_codes, u, v)
-            if self.counts is not None:
-                _add_crossings(self.counts, self.codes, u, v)
-
-    def values(self, a: int, b: int) -> np.ndarray:
-        """a*size - b*count for every odd set: d times its cut value under
-        a weight that is (a - b*count)/d on every edge."""
-        val = self.sizes.astype(np.int64)
-        val *= a
-        used = self.counts.astype(np.int64)
-        used *= b
-        val -= used
-        return val
-
-    def tight(self, a: int, b: int, d: int) -> tuple[frozenset[int], ...]:
-        """The tight cuts of that weight, sorted as tight_odd_cuts sorts."""
-        return _decoded_sorted(self.codes[self.values(a, b) == d])
+            u, v = self.edges[e]  # u < v, and vertex 0 is never a member
+            bit = self.fam_codes >> np.uint32(v - 1)
+            if u != 0:
+                bit ^= self.fam_codes >> np.uint32(u - 1)
+            bit &= np.uint32(1)
+            self.fam_sums += bit
 
 
 def _require_even(g: Multigraph):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from matchcover import k4, parse_edge_list, petersen, random_regular, serialize
-from matchcover import cli
+from matchcover import cli, cover
 from matchcover.cli import main
 
 from helpers import BOUND_TABLE
@@ -172,12 +172,29 @@ def test_cover_json_schema(capsys):
 
 
 def test_cover_cap_exhaustion(capsys):
+    # cover runs at every n; only the audit's exhaustive scan has a cap
     code, _, err = run(
         capsys,
-        ["cover", "-r", "3", "-k", "2", "--mode", "exact-lemma", "--gen", "prism:11"],
+        ["audit", "-r", "3", "-k", "2", "--mode", "exact-lemma", "--gen", "prism:11"],
     )
     assert code == 3
-    assert "cap:" in err
+    assert err == "error: cap: audit needs an exhaustive scan; n = 22 exceeds odd-cap 20\n"
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact-lemma"])
+def test_audit_refuses_before_covering(capsys, monkeypatch, mode):
+    def no_blossom(*_):
+        raise AssertionError("audit covered a graph above odd-cap")
+
+    monkeypatch.setattr(cover, "max_weight_perfect_matching", no_blossom)
+    code, _, err = run(capsys, ["audit", "-r", "3", "-k", "8", "--mode", mode,
+                                "--gen", "random_regular:400,3", "--seed", "0"])
+    assert code == 3
+    assert "exceeds odd-cap 20" in err
+    # the graph is checked first: a non-r-graph above odd-cap still exits 1
+    code, _, err = run(capsys, ["audit", "-r", "3", "-k", "1", "--mode", mode,
+                                "--gen", "bridge_pair", "--odd-cap", "8"])
+    assert code == 1 and "not-r-graph" in err
 
 
 def test_multicolor_text(capsys):

@@ -137,9 +137,49 @@ def test_argument_validation():
 
 
 def test_exact_lemma_size_cap():
-    g = prism(11)  # n = 22
-    with pytest.raises(CapExceededError):
+    # above odd-cap only the audit stops: the picks need no exhaustive scan
+    rep = greedy_cover(prism(11), 3, 2, mode=EXACT_LEMMA)  # n = 22
+    assert rep.all_l1
+    assert all(c.audit is None for c in rep.certificates)
+
+
+@pytest.mark.parametrize("n", [40, 64, 100])
+@pytest.mark.parametrize("r", [3, 4])
+def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
+    # every pick is checked by min_odd_cut's Gusfield tree, not by the
+    # contraction decision the cover uses: with K = n+1, y = K*w*d - chi_M
+    # has no odd cut below K*d - 1 iff M crosses every tight cut once
+    g = random_regular(n, r, 0)
+    rep = greedy_cover(g, r, 8, mode=EXACT_LEMMA)
+    assert rep.all_l1
+    state = CoverState.initial(g)
+    for step, m in enumerate(rep.matchings, 1):
+        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        assert verify_membership(g, w).ok
+        a, b, d = _tight_coefficients(r, step)
+        y = [(g.n + 1) * (a - b * c) for c in state.counts]
+        for e in m.edge_ids:
+            y[e] -= 1
+        assert min_odd_cut(g, y).value >= (g.n + 1) * d - 1
+        state = state.extend(m)
+
+
+@pytest.mark.parametrize("sides", [[{0, 1, 2}], [{1}, {1}]], ids=["non-tight", "repeated"])
+def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides):
+    # the r-graph check runs first; then the decision names these sides in turn
+    real = cover._odd_cuts_at_least
+    calls = []
+
+    def fake(g, nums, bound):
+        calls.append(bound)
+        return real(g, nums, bound) if len(calls) == 1 else frozenset(sides[len(calls) - 2])
+
+    g = petersen()
+    assert len(g.boundary({0, 1, 2})) != 3  # not tight under w_1 = 1/3
+    monkeypatch.setattr(cover, "_odd_cuts_at_least", fake)
+    with pytest.raises(LemmaViolationError, match="step 1: usage vector left the polytope"):
         greedy_cover(g, 3, 2, mode=EXACT_LEMMA)
+    assert len(calls) == 1 + len(sides)
 
 
 @pytest.mark.parametrize("case", corpus(), ids=CORPUS_IDS)
@@ -384,15 +424,28 @@ def test_run_tables_match_full_scans_on_every_step(case):
 @given(desk_cover_cases(), st.randoms(use_true_random=False))
 @example((prism(3), 3, 2), random.Random(0))
 def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
-    # arbitrary perfect matchings, so audits also fail and name witnesses
+    # arbitrary perfect matchings, so audits also fail and name witnesses,
+    # and w_j may leave the polytope
     g, r, k = case
     pms = enumerate_perfect_matchings(g)
-    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2, full=True)
+    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2)
     state = CoverState.initial(g)
     for step in range(1, k + 1):
         w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
-        assert cuts.tight(*_tight_coefficients(r, step)) == tight_odd_cuts(g, w.values)
         m = rnd.choice(pms)
+        # the exact-lemma check on y = K*nums - chi_M against the oracles
+        a, b, d = _tight_coefficients(r, step)
+        y = [(g.n + 1) * (a - b * c) for c in state.counts]
+        for e in m.edge_ids:
+            y[e] -= 1
+        side = oddcuts._odd_cuts_at_least(g, y, (g.n + 1) * d - 1)
+        tights = {g.boundary(s) for s in tight_odd_cuts(g, w.values)}
+        member = verify_membership(g, w).ok
+        assert (side is None) == (member and all(m.crossings(c) == 1 for c in tights))
+        if side is not None and member:
+            assert g.boundary(side) in tights and m.crossings(g.boundary(side)) >= 3
+        elif side is not None:
+            assert sum(w.values[e] for e in g.boundary(side)) < 1
         state = state.extend(m)
         cuts.add(m.edge_ids)
         audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
@@ -426,25 +479,23 @@ def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
     g = random_regular(n, r, seed)
     k = 6
     rep = greedy_cover(g, r, k, mode=FAST)
-    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2, full=True)
     state = CoverState.initial(g)
     outcomes = []
     for step, m in enumerate(rep.matchings, 1):
         w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
-        # the integer vector the cover builds is w_j; the table decides (iii)
+        # the integer vector the cover builds is w_j; the decision settles (iii)
         a, b, d = _tight_coefficients(r, step)
         nums = [a - b * c for c in state.counts]
         assert [F(x, d) for x in nums] == list(w.values)
         assert _local_failure(g, nums, d) is None
-        ok = int(cuts.values(a, b).min()) >= d
+        ok = oddcuts._odd_cuts_at_least(g, nums, d) is None
         assert ok == verify_membership(g, w).ok
         assert rep.certificates[step - 1].membership_verified is (ok if step > 1 else None)
         outcomes.append(ok)
-        # condition (ii) is the local check's: the table alone cannot see it
+        # condition (ii) is the local check's: the decision alone cannot see it
         assert _local_failure(g, [0] + nums[1:], d).condition == "vertex_sum"
         assert not verify_membership(g, FractionalOneFactor((F(0),) + w.values[1:])).ok
         state = state.extend(m)
-        cuts.add(m.edge_ids)
     assert outcomes[0] is True
     if (n, r) != (20, 4):
         assert False in outcomes

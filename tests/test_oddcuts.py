@@ -304,18 +304,14 @@ def test_subset_code_kernels_match_oracles(n, big):
     assert odd.tolist() == odd_codes_oracle(n)
 
 
-@pytest.mark.parametrize("full", [False, True])
-def test_odd_cut_tables_filter_the_oracle(full):
+def test_odd_cut_tables_filter_the_oracle():
     for name, g, r in corpus():
         sizes, odd = cut_values_oracle(g, [1] * g.m), odd_codes_oracle(g.n)
         fam = [c for c in range(len(odd)) if odd[c] and r <= sizes[c] < r + 3]
-        tables = _OddCutTables(g, range(r, r + 3), 6 * g.n // 2, full)
+        tables = _OddCutTables(g, range(r, r + 3), 6 * g.n // 2)
         assert tables.fam_codes.dtype == np.uint32, name
         assert tables.fam_codes.tolist() == fam, name
         assert tables.fam_sizes.tolist() == [sizes[c] for c in fam], name
-        if full:
-            assert tables.codes.tolist() == [c for c in range(len(odd)) if odd[c]], name
-            assert tables.sizes.tolist() == [sizes[c] for c in tables.codes], name
 
 
 def test_scale_weights():
