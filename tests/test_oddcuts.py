@@ -304,14 +304,22 @@ def test_subset_code_kernels_match_oracles(n, big):
     assert odd.tolist() == odd_codes_oracle(n)
 
 
-def test_odd_cut_tables_filter_the_oracle():
+@pytest.mark.parametrize("added", [False, True])
+def test_odd_cut_tables_filter_the_oracle(added):
     for name, g, r in corpus():
         sizes, odd = cut_values_oracle(g, [1] * g.m), odd_codes_oracle(g.n)
         fam = [c for c in range(len(odd)) if odd[c] and r <= sizes[c] < r + 3]
-        tables = _OddCutTables(g, range(r, r + 3), 6 * g.n // 2)
+        # with `added`, every edge once and the first half twice: a set's
+        # crossing count is its cut value under these multiplicities
+        ids = list(range(g.m)) + list(range(g.m // 2)) * 2 if added else []
+        tables = _OddCutTables(g, range(r, r + 3), len(ids))
+        tables.add(ids[: g.m])
+        tables.add(ids[g.m :])
         assert tables.fam_codes.dtype == np.uint32, name
         assert tables.fam_codes.tolist() == fam, name
         assert tables.fam_sizes.tolist() == [sizes[c] for c in fam], name
+        crossed = cut_values_oracle(g, [ids.count(e) for e in range(g.m)])
+        assert tables.fam_sums.tolist() == [crossed[c] for c in fam], name
 
 
 def test_scale_weights():
