@@ -116,6 +116,17 @@ def _classify(exc: Exception) -> _Failure:
     return _Failure(4, f"internal: {type(exc).__name__}: {exc}")
 
 
+def _cap(text: str) -> int:
+    """Argument type of --pm-cap and --odd-cap: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache  # parsing leaves the parser unchanged, so main() builds it once
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -136,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for random generators")
 
     def add_caps(sp):
-        sp.add_argument("--pm-cap", type=int, default=100_000,
+        sp.add_argument("--pm-cap", type=_cap, default=100_000,
                         help="max perfect matchings to enumerate (default 100000)")
-        sp.add_argument("--odd-cap", type=int, default=20,
+        sp.add_argument("--odd-cap", type=_cap, default=20,
                         help="max n for exhaustive odd-cut scans (default 20)")
 
     sp = sub.add_parser("gen", help="emit a generated graph as edge-list text")

@@ -1,10 +1,12 @@
 """Perfect matchings: exhaustive enumeration and max-weight selection.
 
 A Matching stores sorted edge ids only; the graph is passed where
-needed.  Enumeration is the oracle route (complete, deterministic,
-capped).  `max_weight_perfect_matching` is the production route: one
-call of this module's own Edmonds blossom, on flat int lists, with
-integer weights perturbed by edge id.  Their unique maximum is the
+needed.  `enumerate_perfect_matchings` lists every perfect matching
+(complete, deterministic, capped); the exhaustive routes (`m_exact`,
+`excessive_index`, `decompose`, `multicoloring`, `bf_double_cover`)
+start from it.  `max_weight_perfect_matching` selects the greedy
+cover's matchings: one call of this module's own Edmonds blossom, on
+flat int lists, with integer weights perturbed by edge id.  Their unique maximum is the
 lexicographically least maximum-weight perfect matching, so the output
 never depends on how a solver breaks ties.
 """
@@ -65,66 +67,74 @@ def enumerate_perfect_matchings(
 ) -> tuple[Matching, ...]:
     """All perfect matchings, sorted by edge-id tuple.
 
-    Branches on the lowest uncovered vertex and prunes any state whose
-    residual graph has an odd component, so each matching is produced
-    exactly once.  Parallel edges give distinct matchings.  Raises
+    Depth-first search over the free (uncovered) vertices, held as an
+    int bitmask: each state matches the lowest free vertex v to each
+    free neighbour u, once per edge, so every matching appears once and
+    parallel edges give distinct ones.  A state is kept only while each
+    component of the free subgraph has even order (Tutte's condition),
+    checked by one flood fill at the root.  Matching v to u can split
+    only the component holding both, into pieces that each contain a
+    free neighbour of v or u; floods from those neighbours check the
+    pieces' parity and stop at the first that reaches them all.  Raises
     CapExceededError as soon as the count would pass `cap`, and
     NoPerfectMatchingError for odd n (for even n an empty result is a
     valid answer, not an error).
     """
-    if g.n % 2 != 0:
+    n = g.n
+    if n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    if g.n == 0:
+    if n == 0:
         return (Matching(()),)
-    covered = [False] * g.n
-    chosen: list[int] = []
-    found: list[tuple[int, ...]] = []
+    nbrs = [0] * n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge id)
+    for e, (a, b) in enumerate(g.edges):
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+        adj[a].append((b, e))
+        adj[b].append((a, e))
 
-    def residual_feasible() -> bool:
-        # every component of the uncovered subgraph must have even order
-        seen = [False] * g.n
-        for start in range(g.n):
-            if covered[start] or seen[start]:
-                continue
-            size = 0
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                size += 1
-                for e in g.incident(x):
-                    y = g.other_end(e, x)
-                    if not covered[y] and not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            if size % 2 != 0:
+    def has_odd_piece(free: int, touch: int) -> bool:
+        # Whether some component of `free` has odd order, given that each
+        # meets `touch` and that together they have even order: a flood
+        # that reaches all of `touch` left is the last one, so it is even.
+        while touch & (touch - 1):
+            reach = frontier = touch & -touch
+            while frontier and touch & ~reach:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= nbrs[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grow & free & ~reach
+                reach |= frontier
+            if frontier:
                 return False
-        return True
+            if reach.bit_count() & 1:
+                return True
+            touch &= ~reach
+        return False
 
-    def rec():
-        v = next((x for x in range(g.n) if not covered[x]), None)
-        if v is None:
+    found: list[tuple[int, ...]] = []
+    full = (1 << n) - 1
+    stack = [] if has_odd_piece(full, full) else [(full, ())]
+    while stack:
+        free, chosen = stack.pop()
+        if not free:
             if len(found) >= cap:
                 raise CapExceededError(
                     f"perfect matching enumeration passed the cap of {cap}"
                 )
-            found.append(tuple(chosen))
-            return
-        if not residual_feasible():
-            return
-        covered[v] = True
-        for e in g.incident(v):
-            u = g.other_end(e, v)
-            if covered[u]:
-                continue
-            covered[u] = True
-            chosen.append(e)
-            rec()
-            chosen.pop()
-            covered[u] = False
-        covered[v] = False
-
-    rec()
+            found.append(chosen)
+            continue
+        low = free & -free
+        rest = free ^ low
+        v = low.bit_length() - 1
+        for u, e in adj[v]:
+            bit = 1 << u
+            if rest & bit:
+                sub = rest ^ bit
+                if not has_odd_piece(sub, (nbrs[v] | nbrs[u]) & sub):
+                    stack.append((sub, chosen + (e,)))
     return tuple(Matching(ids) for ids in sorted(tuple(sorted(f)) for f in found))
 
 

@@ -7,6 +7,7 @@ Seeds are frozen so every run sees the same graphs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ from matchcover import (
     random_regular,
     uniform,
 )
-from matchcover.errors import NoPerfectMatchingError
+from matchcover.errors import CapExceededError, NoPerfectMatchingError
 from matchcover.matching import Matching, enumerate_perfect_matchings
 from matchcover.oddcuts import (
     OddCutResult,
@@ -285,6 +286,79 @@ def max_weight_perfect_matching_networkx(g: Multigraph, weights) -> Matching:
     if 2 * len(mate) < g.n:
         raise NoPerfectMatchingError("graph has no perfect matching")
     return Matching(tuple(best[(min(u, v), max(u, v))][1] for u, v in mate))
+
+
+def enumerate_perfect_matchings_dfs(
+    g: Multigraph, cap: int = 100_000
+) -> tuple[Matching, ...]:
+    """Oracle for `matching.enumerate_perfect_matchings`: branch on the
+    lowest uncovered vertex and, at every state, run a full DFS over the
+    uncovered subgraph, pruning when any component has odd order.  The
+    same tuple, the same cap and the same errors as the production route."""
+    if g.n % 2 != 0:
+        raise NoPerfectMatchingError("perfect matchings need an even vertex count")
+    if g.n == 0:
+        return (Matching(()),)
+    covered = [False] * g.n
+    chosen: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def residual_feasible() -> bool:
+        # every component of the uncovered subgraph must have even order
+        seen = [False] * g.n
+        for start in range(g.n):
+            if covered[start] or seen[start]:
+                continue
+            size = 0
+            stack = [start]
+            seen[start] = True
+            while stack:
+                x = stack.pop()
+                size += 1
+                for e in g.incident(x):
+                    y = g.other_end(e, x)
+                    if not covered[y] and not seen[y]:
+                        seen[y] = True
+                        stack.append(y)
+            if size % 2 != 0:
+                return False
+        return True
+
+    def rec():
+        v = next((x for x in range(g.n) if not covered[x]), None)
+        if v is None:
+            if len(found) >= cap:
+                raise CapExceededError(
+                    f"perfect matching enumeration passed the cap of {cap}"
+                )
+            found.append(tuple(chosen))
+            return
+        if not residual_feasible():
+            return
+        covered[v] = True
+        for e in g.incident(v):
+            u = g.other_end(e, v)
+            if covered[u]:
+                continue
+            covered[u] = True
+            chosen.append(e)
+            rec()
+            chosen.pop()
+            covered[u] = False
+        covered[v] = False
+
+    rec()
+    return tuple(Matching(ids) for ids in sorted(tuple(sorted(f)) for f in found))
+
+
+def perfect_matchings_brute(g: Multigraph) -> tuple[Matching, ...]:
+    """Oracle for small graphs: every n/2-subset of edge ids, in
+    lexicographic order, kept when it covers all n vertices."""
+    return tuple(
+        Matching(ids)
+        for ids in itertools.combinations(range(g.m), g.n // 2)
+        if len({x for e in ids for x in g.edges[e]}) == g.n
+    )
 
 
 def exact_lemma_pick_enumerated(g: Multigraph, w, covered) -> Matching:

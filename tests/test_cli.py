@@ -417,3 +417,22 @@ def test_cached_parser_gives_the_bytes_of_a_fresh_parser(capsysbinary):
     cached = [_bytes_of(capsysbinary, argv) for argv in (bad, good, good)]
     assert cli.build_parser.cache_info().hits == 2
     assert cached == [fresh[0], fresh[1], fresh[1]]
+
+
+def test_negative_pm_cap_is_a_usage_error(capsysbinary):
+    code, out, err = _bytes_of(capsysbinary, ["exact", "-k", "2", "--gen", "petersen",
+                                              "--pm-cap", "-3"])
+    assert (code, out) == (2, b"")
+    assert b"argument --pm-cap: expected a non-negative integer, got '-3'" in err
+    # zero is a cap, not an error: Petersen's six matchings pass it
+    code, _, err = _bytes_of(capsysbinary, ["exact", "-k", "2", "--gen", "petersen",
+                                            "--pm-cap", "0"])
+    assert code == 3 and b"passed the cap of 0" in err
+
+
+def test_negative_odd_cap_is_a_usage_error(capsysbinary):
+    for value in ("-5", "five"):
+        code, out, err = _bytes_of(capsysbinary, ["audit", "-r", "3", "-k", "2", "--gen",
+                                                  "petersen", "--odd-cap", value])
+        assert (code, out) == (2, b"")
+        assert f"argument --odd-cap: expected a non-negative integer, got '{value}'".encode() in err

@@ -1,8 +1,10 @@
-"""Perfect matching enumeration (oracle) and max-weight selection (production)."""
+"""Perfect matching enumeration and max-weight selection, each against oracles."""
 
+import itertools
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +30,14 @@ from matchcover import (
     prism,
 )
 
-from helpers import PETERSEN_PMS, corpus, max_weight_perfect_matching_networkx
+from helpers import (
+    CORPUS_IDS,
+    PETERSEN_PMS,
+    corpus,
+    enumerate_perfect_matchings_dfs,
+    max_weight_perfect_matching_networkx,
+    perfect_matchings_brute,
+)
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
@@ -80,10 +89,17 @@ def test_bridge_pair_matchings_all_use_the_bridge():
     assert all(14 in m.edge_ids for m in pms)
 
 
-def test_enumeration_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_perfect_matchings(petersen(), cap=5)
-    assert len(enumerate_perfect_matchings(petersen(), cap=6)) == 6
+@pytest.mark.parametrize(
+    "name", ["petersen", "k4", "k33", "dipole5", "prism6", "random_r4_n10_s203"]
+)
+def test_enumeration_cap(name):
+    # a cap of P, the number of perfect matchings, returns all P; P - 1 raises
+    g = next(g for nm, g, _ in corpus() if nm == name)
+    p = len(enumerate_perfect_matchings_dfs(g))
+    assert p >= 2
+    assert len(enumerate_perfect_matchings(g, cap=p)) == p
+    with pytest.raises(CapExceededError, match=f"passed the cap of {p - 1}$"):
+        enumerate_perfect_matchings(g, cap=p - 1)
 
 
 def test_enumeration_degenerate_inputs():
@@ -99,6 +115,100 @@ def test_enumeration_results_are_perfect_and_distinct():
         assert len(set(pms)) == len(pms), name
         for m in pms:
             assert is_perfect_matching(g, m), name
+
+
+def random_multigraph(rng: random.Random) -> Multigraph:
+    """Even n <= 14, parallel edges common; three in four draws plant a
+    perfect matching among the other edges."""
+    n = 2 * rng.randint(0, 7)
+    edges = []
+    if n and rng.random() < 0.75:
+        perm = rng.sample(range(n), n)
+        edges += [(perm[i], perm[i + 1]) for i in range(0, n, 2)]
+    if n:
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    if edges:
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(edges)
+    return Multigraph(n, tuple(edges))
+
+
+def tutte_barrier(k: int, centre_first: bool) -> Multigraph:
+    """Three K_k (k odd), each joined by one edge to a centre vertex: n is
+    even and the graph connected, but removing the centre leaves three odd
+    components, so there is no perfect matching."""
+    n = 3 * k + 1
+    centre, first = (0, 1) if centre_first else (n - 1, 0)
+    edges = []
+    for i in range(3):
+        base = first + i * k
+        edges += [(base + a, base + b) for a, b in itertools.combinations(range(k), 2)]
+        edges.append((centre, base))
+    return Multigraph(n, tuple(edges))
+
+
+NO_PERFECT_MATCHING = [
+    TWO_TRIANGLES,
+    Multigraph(4, ((0, 1), (0, 2), (0, 3))),  # a star
+    Multigraph(2, ()),
+    # K4 and K4, with two isolated vertices
+    Multigraph(10, tuple((a + s, b + s) for s in (0, 4)
+                         for a, b in itertools.combinations(range(4), 2))),
+    # a 4-cycle beside a star: one even component is not enough
+    Multigraph(8, ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (4, 7))),
+    tutte_barrier(3, True),
+    tutte_barrier(3, False),
+    # parallel edges inside a triangle and to the centre change nothing
+    Multigraph(10, tutte_barrier(3, True).edges + ((1, 2), (1, 2), (0, 4))),
+]
+
+
+@pytest.mark.parametrize("case", corpus(), ids=CORPUS_IDS)
+def test_enumeration_matches_the_dfs_oracle_on_corpus(case):
+    _, g, _ = case
+    pms = enumerate_perfect_matchings(g)
+    assert pms == enumerate_perfect_matchings_dfs(g)
+    if g.m <= 16:
+        assert pms == perfect_matchings_brute(g)
+
+
+def test_enumeration_matches_the_oracles_on_random_multigraphs():
+    rng = random.Random(14)
+    seen = {"none": 0, "some": 0, "parallel": 0}
+    for _ in range(300):
+        g = random_multigraph(rng)
+        pms = enumerate_perfect_matchings(g)
+        assert pms == enumerate_perfect_matchings_dfs(g), g
+        if g.m <= 16:
+            assert pms == perfect_matchings_brute(g), g
+        seen["some" if pms else "none"] += 1
+        seen["parallel"] += len(set(g.edges)) < g.m and len(pms) > 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("g", NO_PERFECT_MATCHING)
+def test_enumeration_without_a_perfect_matching(g):
+    assert enumerate_perfect_matchings(g) == ()
+    assert enumerate_perfect_matchings_dfs(g) == ()
+    if g.m <= 16:
+        assert perfect_matchings_brute(g) == ()
+
+
+@pytest.mark.parametrize("centre_first", [True, False], ids=["centre-first", "centre-last"])
+def test_enumeration_prunes_odd_components_behind_a_tutte_barrier(centre_first):
+    # n = 40 and connected: every free vertex keeps a free neighbour for
+    # many levels, so only the parity check cuts the search short.  Without
+    # it this runs for minutes; with it, milliseconds.
+    g = tutte_barrier(13, centre_first)
+    start = time.process_time()
+    assert enumerate_perfect_matchings(g) == ()
+    assert time.process_time() - start < 10
+
+
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # a path on 3000 vertices has one perfect matching, 1500 levels deep
+    g = Multigraph(3000, tuple((v, v + 1) for v in range(2999)))
+    assert enumerate_perfect_matchings(g) == (Matching(tuple(range(0, 2999, 2))),)
 
 
 def test_matching_weight():
