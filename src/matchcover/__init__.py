@@ -14,6 +14,7 @@ from .bounds import (
     geometric_bound,
     product_bound,
     small_k_bound,
+    w_k_entry,
 )
 from .cover import (
     EXACT_LEMMA,
@@ -38,20 +39,24 @@ from .errors import (
     NotRGraphError,
     UncoverableEdgeError,
 )
-from .exact import ExactCoverage, ExcessiveIndexResult, excessive_index, m_exact
+from .exact import (
+    DoubleCoverResult,
+    ExactCoverage,
+    ExcessiveIndexResult,
+    bf_double_cover,
+    excessive_index,
+    m_exact,
+)
 from .fractional import (
     ConvexDecomposition,
-    DoubleCoverResult,
     FractionalOneFactor,
     MembershipReport,
     Multicoloring,
-    bf_double_cover,
     build_w_k,
     decompose,
     multicoloring,
     uniform,
     verify_membership,
-    w_k_entry,
 )
 from .generators import (
     bridge_pair,

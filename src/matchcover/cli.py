@@ -40,8 +40,8 @@ from .errors import (
     NotRGraphError,
     UncoverableEdgeError,
 )
-from .exact import excessive_index, m_exact
-from .fractional import bf_double_cover, decompose, multicoloring, uniform
+from .exact import bf_double_cover, excessive_index, m_exact
+from .fractional import decompose, multicoloring, uniform
 from .generators import from_spec, generator_names
 from .multigraph import Multigraph, parse_edge_list, serialize
 from .oddcuts import is_r_graph

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bounds import product_bound
+from .bounds import product_bound, w_k_entry
 from .errors import CapExceededError, LemmaViolationError, NotRGraphError
-from .fractional import _local_failure, w_k_entry
+from .fractional import _local_failure
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (

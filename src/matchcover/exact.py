@@ -1,10 +1,19 @@
-"""Exhaustive optima at desk scale: best k-cover fraction and excessive index.
+"""Exhaustive searches at desk scale: best k-cover fraction, excessive
+index and the generalized Berge-Fulkerson double cover.
 
-Both searches run over the complete enumerated list of perfect
-matchings as bitmasks.  Subsets are explored in lexicographic index
+All three run over the complete enumerated list of perfect matchings,
+each held as an edge bitmask, with the suffix unions of those masks as
+the one pruning table: suf[j] holds every edge that some matching of
+index j or later contains.  Both searches keep their path on an
+explicit stack, so no depth is bounded by recursion.
+
+`m_exact` and `excessive_index` explore index subsets in lexicographic
 order with include-first depth-first search, so the first optimum kept
 is the lexicographically least witness; upper-bound pruning discards
 ties, which by that ordering can only be lexicographically later.
+`bf_double_cover` holds two masks, the edges covered at least once and
+at least twice, and cuts a node when an edge not yet covered twice lies
+in no later matching.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoPerfectMatchingError, UncoverableEdgeError
+from .errors import NoPerfectMatchingError, NotRegularError, UncoverableEdgeError
 from .matching import Matching, enumerate_perfect_matchings
 from .multigraph import Multigraph
 
@@ -28,21 +37,17 @@ class ExactCoverage:
     pm_count: int
 
 
-def _masks(pms) -> list[int]:
-    out = []
-    for pm in pms:
-        mask = 0
-        for e in pm.edge_ids:
-            mask |= 1 << e
-        out.append(mask)
-    return out
-
-
-def _suffix_unions(masks: list[int]) -> list[int]:
+def _pm_masks(
+    g: Multigraph, cap: int
+) -> tuple[tuple[Matching, ...], list[int], list[int]]:
+    """The perfect matchings, their edge bitmasks and the masks' suffix
+    unions (one more entry than masks, ending in 0)."""
+    pms = enumerate_perfect_matchings(g, cap)
+    masks = [sum(1 << e for e in pm.edge_ids) for pm in pms]
     suf = [0] * (len(masks) + 1)
     for j in range(len(masks) - 1, -1, -1):
         suf[j] = suf[j + 1] | masks[j]
-    return suf
+    return pms, masks, suf
 
 
 def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
@@ -57,11 +62,9 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
         raise ValueError(f"k must be at least 1, got {k}")
     if g.n < 2:
         raise ValueError("coverage search needs at least 2 vertices")
-    pms = enumerate_perfect_matchings(g, pm_cap)
+    pms, masks, suf = _pm_masks(g, pm_cap)
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    masks = _masks(pms)
-    suf = _suffix_unions(masks)
     kk = min(k, len(pms))
     best, best_sel = _best_subset(masks, suf, kk, g.n // 2, -1)
     witness = best_sel + (best_sel[0],) * (k - kk) if k > kk else best_sel
@@ -78,42 +81,40 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
 def _best_subset(
     masks: list[int], suf: list[int], kk: int, per: int, floor: int
 ) -> tuple[int, tuple[int, ...]]:
-    """The most edges a union of kk of the masks covers, with the
+    """The most edges a union of kk >= 1 of the masks covers, with the
     lexicographically least index subset reaching it; (floor, ()) when
     no subset covers more than floor edges.
 
     suf holds the suffix unions of masks and per the edges in each
     mask.  A branch is cut once its union bound, or its count plus per
     edges for each mask still to pick, cannot beat the best so far.
+    Picking j leaves the union bound (cur | suf[j]), which only falls
+    as j grows, so its first failure ends the remaining siblings too.
     """
     best = floor
-    best_sel: tuple[int, ...] = ()
-    sel: list[int] = []
-
-    def rec(idx: int, depth: int, cur: int):
-        nonlocal best, best_sel
-        if depth == kk:
-            pc = cur.bit_count()
-            if pc > best:
-                best = pc
-                best_sel = tuple(sel)
-            return
-        remaining = kk - depth
-        if len(masks) - idx < remaining:
-            return
-        ub = (cur | suf[idx]).bit_count()
-        cheap = cur.bit_count() + remaining * per
-        if cheap < ub:
-            ub = cheap
-        if ub <= best:
-            return
-        for j in range(idx, len(masks) - remaining + 1):
-            sel.append(j)
-            rec(j + 1, depth + 1, cur | masks[j])
-            sel.pop()
-
-    rec(0, 0, 0)
-    return best, best_sel
+    best_sel = None
+    # one entry per depth: the next index to try there, the union of the
+    # picks above it, and those picks as a linked (j, parent) pair
+    stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    while stack:
+        j, cur, sel = stack.pop()
+        rest = kk - 1 - len(stack)  # picks still to make below this depth
+        last = len(masks) - 1 - rest
+        while j <= last and (cur | suf[j]).bit_count() > best:
+            nxt = cur | masks[j]
+            if not rest:
+                if nxt.bit_count() > best:
+                    best, best_sel = nxt.bit_count(), (j, sel)
+            elif nxt.bit_count() + rest * per > best:
+                stack.append((j + 1, cur, sel))
+                stack.append((j + 1, nxt, (j, sel)))
+                break
+            j += 1
+    picks: list[int] = []
+    while best_sel is not None:
+        j, best_sel = best_sel
+        picks.append(j)
+    return best, tuple(reversed(picks))
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,9 @@ def excessive_index(g: Multigraph, pm_cap: int = 100_000) -> ExcessiveIndexResul
     """
     if g.n < 2:
         raise ValueError("cover search needs at least 2 vertices")
-    pms = enumerate_perfect_matchings(g, pm_cap)
+    pms, masks, suf = _pm_masks(g, pm_cap)
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    masks = _masks(pms)
-    suf = _suffix_unions(masks)
     full = (1 << g.m) - 1
     if suf[0] != full:
         missing = next(e for e in range(g.m) if not (suf[0] >> e) & 1)
@@ -157,3 +156,74 @@ def excessive_index(g: Multigraph, pm_cap: int = 100_000) -> ExcessiveIndexResul
                 pm_count=len(pms),
             )
     raise AssertionError("full union exists but no cover was found; internal bug")
+
+
+@dataclass(frozen=True)
+class DoubleCoverResult:
+    """Outcome of the exhaustive search for a 2r-matching double cover."""
+
+    found: bool
+    matchings: tuple[Matching, ...] | None
+    pm_count: int
+    nodes: int
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.found
+
+
+def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverResult:
+    """Search for 2r perfect matchings (repeats allowed) covering every
+    edge exactly twice.
+
+    Depth-first over multiplicities 0..2 per enumerated matching, in
+    matching order, trying higher multiplicities first so the first
+    solution found is the lexicographically least multiset.  t copies
+    of a matching fit while its edges are covered at most 2 - t times
+    so far.  A node is cut when an edge not yet covered twice lies in
+    no later matching.  A negative answer means the whole space was
+    explored: a per-graph disproof.
+    """
+    if g.n < 2:
+        raise ValueError("double-cover search needs at least 2 vertices")
+    if not g.is_regular(r):
+        raise NotRegularError(f"graph is not {r}-regular")
+    pms, masks, suf = _pm_masks(g, cap)
+    full = (1 << g.m) - 1
+    once = twice = 0  # edges covered at least once, at least twice
+    path: list[tuple[int, int, int, int]] = []  # (j, t, once, twice) before the pick
+    nodes = 0
+    below = 3  # multiplicities below this are still to try at j
+    while True:
+        j = len(path)
+        if below == 3:  # a new node
+            nodes += 1
+            if twice == full:
+                break
+            if full & ~twice & ~suf[j]:  # also ends j == len(pms)
+                below = 0
+        if below:
+            pm = masks[j]
+            t = 2 if below > 2 and not pm & once else 1 if below > 1 and not pm & twice else 0
+            path.append((j, t, once, twice))
+            for _ in range(t):
+                twice |= pm & once
+                once |= pm
+            below = 3
+        elif path:
+            j, below, once, twice = path.pop()
+        else:
+            break
+
+    if twice != full:
+        return DoubleCoverResult(False, None, len(pms), nodes)
+    out: list[Matching] = []
+    for j, t, _, _ in path:
+        out.extend([pms[j]] * t)
+    per_edge = [0] * g.m
+    for mm in out:
+        for e in mm.edge_ids:
+            per_edge[e] += 1
+    if len(out) != 2 * r or any(c != 2 for c in per_edge):
+        raise AssertionError("double cover bookkeeping is off; internal bug")
+    return DoubleCoverResult(True, tuple(out), len(pms), nodes)

@@ -10,15 +10,8 @@ These are exactly the points of the perfect matching polytope, so any
 member decomposes as a convex combination of perfect matchings; the
 decomposition here is computed exactly and verified by reconstruction.
 
-`w_k_entry` is the per-edge weight used by the greedy cover: after
-k-1 matchings have been chosen, an edge used count times gets weight
-w_k(count), a strictly decreasing affine function of count normalized
-so vertex stars sum to 1.  The two parities of r need different
-coefficients.  The minimum sits at count k-1, and its sharp floor
-depends on r: exactly 1/(2k+1) for r = 3, strictly above 1/(r+3) for
-even r and strictly above 1/(r+4) for odd r >= 5.  No constant floor
-holds for r = 3, because the cubic weights are forced by the cubic
-product bound 1 - prod (i+1)/(2i+1).
+`build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
+weight, over the edges.
 
 `verify_membership` builds a Gomory-Hu tree only to report a failing
 vector's minimum cut; the greedy cover decides without it.
@@ -30,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .bounds import w_k_entry
 from .errors import MembershipFailure, NotRegularError
 from .matching import Matching, enumerate_perfect_matchings
 from .multigraph import Multigraph
@@ -81,32 +75,6 @@ def uniform(g: Multigraph, r: int) -> FractionalOneFactor:
     if not g.is_regular(r):
         raise NotRegularError(f"graph is not {r}-regular")
     return FractionalOneFactor(tuple(Fraction(1, r) for _ in range(g.m)))
-
-
-def w_k_entry(r: int, k: int, count: int) -> Fraction:
-    """Weight of an edge used `count` times among k-1 chosen matchings.
-
-    Defined for r >= 3 and 1 <= k, with 0 <= count <= k-1.  Strictly
-    positive and strictly below 1 throughout that range, and affine
-    decreasing in count, so heavily used edges are devalued.  The
-    minimum is at count k-1: exactly 1/(2k+1) for r = 3 (equal to 1/7
-    at k = 3 and below it for larger k), strictly above 1/(r+3) for even
-    r, and strictly above 1/(r+4) for odd r >= 5.  The last two floors
-    are the limits as k grows for r = 4 and r = 5.
-    """
-    if r < 3:
-        raise ValueError(f"r must be at least 3, got {r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not 0 <= count <= k - 1:
-        raise ValueError(f"count must lie in 0..{k - 1}, got {count}")
-    if r % 2 == 0:
-        num = (r - 2) * k - (r - 4) - count
-        den = (r * r - 2 * r - 1) * k - (r * r - 4 * r - 1)
-    else:
-        num = (r - 1) * k - (r - 3) - 2 * count
-        den = (r * r - r - 2) * k - (r * r - 3 * r - 2)
-    return Fraction(num, den)
 
 
 def build_w_k(g: Multigraph, r: int, k: int, counts) -> FractionalOneFactor:
@@ -266,83 +234,3 @@ def multicoloring(g: Multigraph, r: int, cap: int = 100_000) -> Multicoloring:
     if any(c != p for c in per_edge):
         raise AssertionError("multicover misses the exact p-fold identity; internal bug")
     return Multicoloring(p, tuple(out))
-
-
-@dataclass(frozen=True)
-class DoubleCoverResult:
-    """Outcome of the exhaustive search for a 2r-matching double cover."""
-
-    found: bool
-    matchings: tuple[Matching, ...] | None
-    pm_count: int
-    nodes: int
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.found
-
-
-def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverResult:
-    """Search for 2r perfect matchings (repeats allowed) covering every
-    edge exactly twice.
-
-    Depth-first over multiplicities 0..2 per enumerated matching, in
-    matching order, trying higher multiplicities first so the first
-    solution found is the lexicographically least multiset.  Pruning is
-    by per-edge remaining availability.  The path is kept as a list, not
-    on the call stack, so the search runs at any matching count.  A
-    negative answer means the whole space was explored: a per-graph
-    disproof.
-    """
-    if g.n < 2:
-        raise ValueError("double-cover search needs at least 2 vertices")
-    if not g.is_regular(r):
-        raise NotRegularError(f"graph is not {r}-regular")
-    pms = enumerate_perfect_matchings(g, cap)
-    need = [2] * g.m
-
-    # avail[j][e]: twice the number of matchings with index >= j containing e
-    avail = [[0] * g.m for _ in range(len(pms) + 1)]
-    for j in range(len(pms) - 1, -1, -1):
-        row = avail[j + 1][:]
-        for e in pms[j].edge_ids:
-            row[e] += 2
-        avail[j] = row
-
-    picked: list[tuple[int, int]] = []  # (pm index, multiplicity) for 0..j-1
-    nodes = 0
-    below = 3  # multiplicities below this are still to try at j
-    while True:
-        j = len(picked)
-        if below == 3:  # a new node
-            nodes += 1
-            if not any(need):
-                break
-            if any(x > y for x, y in zip(need, avail[j])):  # also ends j == len(pms)
-                below = 0
-        t = next((t for t in (2, 1, 0) if t < below
-                  and all(need[e] >= t for e in pms[j].edge_ids)), None)
-        if t is not None:
-            for e in pms[j].edge_ids:
-                need[e] -= t
-            picked.append((j, t))
-            below = 3
-        elif picked:
-            j, below = picked.pop()
-            for e in pms[j].edge_ids:
-                need[e] += below
-        else:
-            break
-
-    if any(need):
-        return DoubleCoverResult(False, None, len(pms), nodes)
-    out: list[Matching] = []
-    for j, t in picked:
-        out.extend([pms[j]] * t)
-    per_edge = [0] * g.m
-    for mm in out:
-        for e in mm.edge_ids:
-            per_edge[e] += 1
-    if len(out) != 2 * r or any(c != 2 for c in per_edge):
-        raise AssertionError("double cover bookkeeping is off; internal bug")
-    return DoubleCoverResult(True, tuple(out), len(pms), nodes)

@@ -377,3 +377,89 @@ def exact_lemma_pick_enumerated(g: Multigraph, w, covered) -> Matching:
         if gain > best_gain:
             chosen, best_gain = pm, gain
     return chosen
+
+
+def bf_double_cover_per_edge(g: Multigraph, r: int, cap: int = 100_000):
+    """Oracle for `exact.bf_double_cover`: the same depth-first search
+    over multiplicities 2, 1, 0 per matching, kept on per-edge counts.
+    need[e] is how many more times edge e must be covered and avail[j][e]
+    twice the number of matchings of index >= j holding e; a node is cut
+    when some need exceeds its availability.  Returns (found, matchings
+    or None, pm_count, nodes), which must equal the production result."""
+    pms = enumerate_perfect_matchings(g, cap)
+    need = [2] * g.m
+    avail = [[0] * g.m for _ in range(len(pms) + 1)]
+    for j in range(len(pms) - 1, -1, -1):
+        row = avail[j + 1][:]
+        for e in pms[j].edge_ids:
+            row[e] += 2
+        avail[j] = row
+
+    picked: list[tuple[int, int]] = []  # (pm index, multiplicity) for 0..j-1
+    nodes = 0
+    below = 3  # multiplicities below this are still to try at j
+    while True:
+        j = len(picked)
+        if below == 3:  # a new node
+            nodes += 1
+            if not any(need):
+                break
+            if any(x > y for x, y in zip(need, avail[j])):  # also ends j == len(pms)
+                below = 0
+        t = next((t for t in (2, 1, 0) if t < below
+                  and all(need[e] >= t for e in pms[j].edge_ids)), None)
+        if t is not None:
+            for e in pms[j].edge_ids:
+                need[e] -= t
+            picked.append((j, t))
+            below = 3
+        elif picked:
+            j, below = picked.pop()
+            for e in pms[j].edge_ids:
+                need[e] += below
+        else:
+            break
+
+    if any(need):
+        return False, None, len(pms), nodes
+    out = tuple(pms[j] for j, t in picked for _ in range(t))
+    return True, out, len(pms), nodes
+
+
+def best_subset_recursive(pms, kk: int, per: int, floor: int):
+    """Oracle for `exact._best_subset` on the masks of `pms`: the same
+    include-first search over index subsets of size kk, recursing once
+    per pick and cutting a branch whose union bound or count bound
+    cannot beat the best so far.  Returns (best, witness)."""
+    masks = [sum(1 << e for e in pm.edge_ids) for pm in pms]
+    suf = [0] * (len(masks) + 1)
+    for j in range(len(masks) - 1, -1, -1):
+        suf[j] = suf[j + 1] | masks[j]
+    best = floor
+    best_sel: tuple[int, ...] = ()
+    sel: list[int] = []
+
+    def rec(idx: int, depth: int, cur: int):
+        nonlocal best, best_sel
+        if depth == kk:
+            pc = cur.bit_count()
+            if pc > best:
+                best = pc
+                best_sel = tuple(sel)
+            return
+        remaining = kk - depth
+        if len(masks) - idx < remaining:
+            return
+        ub = (cur | suf[idx]).bit_count()
+        cheap = cur.bit_count() + remaining * per
+        if cheap < ub:
+            ub = cheap
+        if ub <= best:
+            return
+        for j in range(idx, len(masks) - remaining + 1):
+            sel.append(j)
+            rec(j + 1, depth + 1, cur | masks[j])
+            sel.pop()
+
+    rec(0, 0, 0)
+    return best, best_sel

@@ -13,6 +13,9 @@ from matchcover import (
     small_k_bound,
 )
 
+import matchcover
+from matchcover import bounds, fractional
+
 from helpers import BOUND_TABLE
 
 F = Fraction
@@ -21,6 +24,10 @@ F = Fraction
 def test_frozen_table_values():
     for (r, k), (rational, _, _) in BOUND_TABLE.items():
         assert product_bound(r, k) == F(rational), (r, k)
+
+
+def test_usage_weight_has_one_definition():
+    assert matchcover.w_k_entry is fractional.w_k_entry is bounds.w_k_entry
 
 
 def test_frozen_table_decimals():

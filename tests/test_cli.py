@@ -123,6 +123,13 @@ def test_exact_text(capsys):
     ]
 
 
+def test_exact_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, ["exact", "-k", "1100", "--gen", "random_regular:16,6",
+                                "--seed", "7"])
+    assert code == 0
+    assert out.startswith("best 1100-cover fraction: 1 (~1.0) over 3576 matchings; ")
+
+
 def test_exact_needs_a_task(capsys):
     code, _, err = run(capsys, ["exact", "--gen", "k4"])
     assert code == 2

@@ -8,6 +8,7 @@ from matchcover import (
     FAST,
     NoPerfectMatchingError,
     UncoverableEdgeError,
+    bf_double_cover,
     bridge_pair,
     dipole,
     excessive_index,
@@ -17,10 +18,18 @@ from matchcover import (
     m_exact,
     petersen,
     prism,
+    random_regular,
 )
+from matchcover.exact import _best_subset, _pm_masks
 from matchcover.multigraph import Multigraph
 
-from helpers import PETERSEN_M_EXACT, PETERSEN_PMS, corpus
+from helpers import (
+    PETERSEN_M_EXACT,
+    PETERSEN_PMS,
+    best_subset_recursive,
+    bf_double_cover_per_edge,
+    corpus,
+)
 
 F = Fraction
 
@@ -114,3 +123,54 @@ def test_greedy_never_beats_the_oracle():
         for k in (1, 2, 3):
             rep = greedy_cover(g, r, k, mode=FAST)
             assert rep.fraction <= m_exact(g, k).fraction, (name, k)
+
+
+def _cubic_without_perfect_matching() -> Multigraph:
+    """Three copies of K4 minus an edge, each joined through a new
+    vertex to a centre: removing the centre leaves three odd components."""
+    edges = []
+    for i in range(3):
+        a, b, c, d, x = range(1 + 5 * i, 6 + 5 * i)
+        edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (a, x), (b, x), (0, x)]
+    return Multigraph(16, tuple(edges))
+
+
+SUBSET_CASES = [
+    *corpus(),
+    *(
+        (f"random_r{r}_n{n}_s{s}", random_regular(n, r, s), r)
+        for r in (3, 4, 5, 6)
+        for n in (6, 8, 10)
+        for s in (0, 1, 2)
+        if n > r
+    ),
+    ("random_r6_n12_s1", random_regular(12, 6, 1), 6),  # 82963 search nodes
+    ("bridge_pair", bridge_pair(), 3),
+]
+SEARCH_CASES = [*SUBSET_CASES, ("no_perfect_matching", _cubic_without_perfect_matching(), 3)]
+
+
+@pytest.mark.parametrize("g, r", [c[1:] for c in SEARCH_CASES],
+                         ids=[c[0] for c in SEARCH_CASES])
+def test_double_cover_matches_the_per_edge_search(g, r):
+    res = bf_double_cover(g, r)
+    assert (res.found, res.matchings, res.pm_count, res.nodes) == bf_double_cover_per_edge(g, r)
+
+
+@pytest.mark.parametrize("g", [c[1] for c in SUBSET_CASES],
+                         ids=[c[0] for c in SUBSET_CASES])
+def test_best_subset_matches_the_recursive_search(g):
+    pms, masks, suf = _pm_masks(g, 100_000)
+    for kk in range(1, 6):
+        for floor in (-1, g.m - 1):
+            assert _best_subset(masks, suf, kk, g.n // 2, floor) == (
+                best_subset_recursive(pms, kk, g.n // 2, floor)
+            ), (kk, floor)
+
+
+def test_best_cover_past_the_recursion_limit():
+    # 3576 perfect matchings: a subset of 1100 is deeper than the default stack
+    cov = m_exact(random_regular(16, 6, 7), 1100)
+    assert cov.fraction == 1
+    assert cov.pm_count == 3576
+    assert cov.witness_indices == tuple(range(1100))
