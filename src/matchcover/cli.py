@@ -44,7 +44,7 @@ from .exact import bf_double_cover, excessive_index, m_exact
 from .fractional import decompose, multicoloring, uniform
 from .generators import from_spec, generator_names
 from .multigraph import Multigraph, parse_edge_list, serialize
-from .oddcuts import is_r_graph
+from .oddcuts import SCAN_LIMIT, is_r_graph
 
 
 def _json_default(obj):
@@ -58,7 +58,7 @@ def _json_default(obj):
 
 def _audit_text(families) -> str:
     if families is None:
-        return "audit: skipped (beyond odd-cap)"
+        return f"audit: skipped (n above the scan limit {SCAN_LIMIT})"
     parts = []
     for f in families:
         if f.status == "vacuous":
@@ -117,7 +117,7 @@ def _classify(exc: Exception) -> _Failure:
 
 
 def _cap(text: str) -> int:
-    """Argument type of --pm-cap and --odd-cap: an integer, at least 0."""
+    """Argument type of --pm-cap: an integer, at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -146,11 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for random generators")
 
-    def add_caps(sp):
+    def add_pm_cap(sp):
         sp.add_argument("--pm-cap", type=_cap, default=100_000,
                         help="max perfect matchings to enumerate (default 100000)")
-        sp.add_argument("--odd-cap", type=_cap, default=20,
-                        help="max n for exhaustive odd-cut scans (default 20)")
 
     sp = sub.add_parser("gen", help="emit a generated graph as edge-list text")
     sp.add_argument("--gen", metavar="NAME[:P1,P2]", required=True)
@@ -165,14 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--mode", choices=MODES, default=FAST)
     add_graph_opts(sp)
-    add_caps(sp)
 
     sp = sub.add_parser("exact", help="exact best k-cover fraction / excessive index")
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("--excessive", action="store_true",
                     help="also compute the minimum full-cover size")
     add_graph_opts(sp)
-    add_caps(sp)
+    add_pm_cap(sp)
 
     sp = sub.add_parser("bounds", help="coverage-fraction lower bounds")
     sp.add_argument("-r", type=int, default=None)
@@ -183,25 +180,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="convex decomposition of the uniform vector")
     sp.add_argument("-r", type=int, required=True)
     add_graph_opts(sp)
-    add_caps(sp)
+    add_pm_cap(sp)
 
     sp = sub.add_parser("multicolor", help="p-fold cover by r*p perfect matchings")
     sp.add_argument("-r", type=int, required=True)
     add_graph_opts(sp)
-    add_caps(sp)
+    add_pm_cap(sp)
 
     sp = sub.add_parser("bf-search", help="exhaustive search for a double cover "
                         "by 2r perfect matchings")
     sp.add_argument("-r", type=int, required=True)
     add_graph_opts(sp)
-    add_caps(sp)
+    add_pm_cap(sp)
 
     sp = sub.add_parser("audit", help="run a cover and audit the small odd-cut families")
     sp.add_argument("-r", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--mode", choices=MODES, default=FAST)
     add_graph_opts(sp)
-    add_caps(sp)
 
     return p
 
@@ -227,7 +223,7 @@ def _load_graph(args) -> tuple[Multigraph | None, str | None]:
 
 def _params_json(args) -> dict:
     out = {}
-    for key in ("r", "k", "mode", "pm_cap", "odd_cap", "seed", "excessive"):
+    for key in ("r", "k", "mode", "pm_cap", "seed", "excessive"):
         if hasattr(args, key) and getattr(args, key) is not None:
             out[key] = getattr(args, key)
     return out
@@ -290,7 +286,7 @@ def _cover_result(rep) -> dict:
 
 
 def _cmd_cover(g: Multigraph, args):
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode)
     certs = [asdict(c) for c in rep.certificates]
     result = _cover_result(rep)
     text = _cover_text(rep)
@@ -425,11 +421,11 @@ def _cmd_bf_search(g: Multigraph, args):
 
 def _cmd_audit(g: Multigraph, args):
     require_cover_input(g, args.r, args.k, args.mode)
-    if g.n > args.odd_cap:  # refuse before covering
+    if g.n > SCAN_LIMIT:  # refuse before covering
         raise CapExceededError(
-            f"audit needs an exhaustive scan; n = {g.n} exceeds odd-cap {args.odd_cap}"
+            f"audit needs an exhaustive scan; n = {g.n} exceeds the scan limit {SCAN_LIMIT}"
         )
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode, odd_cap=args.odd_cap)
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode)
     fams = rep.certificates[-1].audit
     result = {"audit": [asdict(f) for f in fams], "mode": args.mode,
               "fraction": format_fraction(rep.fraction)}

@@ -32,9 +32,9 @@ lexicographically least maximum); nothing is enumerated.
   and names a tight cut the pick crosses more than once, if any, and
   the pick is made again.  Nothing is scanned, so it runs at every n.
 
-At desk scale (n <= odd_cap) every step also carries an audit of the
-r-, (r+1)- and (r+2)-cut families, read off one per-run table of those
-families.
+At desk scale (n <= oddcuts.SCAN_LIMIT) every step also carries an audit
+of the r-, (r+1)- and (r+2)-cut families, read off one per-run table of
+those families.
 
 A certified prediction that fails its exact comparison, or a w_j that
 fails (i) or (ii), raises LemmaViolationError: that is an internal bug
@@ -48,11 +48,12 @@ from fractions import Fraction
 from math import lcm
 
 from .bounds import product_bound, w_k_entry
-from .errors import CapExceededError, LemmaViolationError, NotRGraphError
+from .errors import LemmaViolationError, NotRGraphError
 from .fractional import _local_failure
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (
+    SCAN_LIMIT,
     cut_values_by_code,
     is_r_graph,
     odd_subset_codes,
@@ -110,9 +111,7 @@ class CutFamilyAudit:
     witness: frozenset[int] | None = None
 
 
-def audit_cut_invariants(
-    state: CoverState, r: int, cap: int = 20
-) -> tuple[CutFamilyAudit, ...]:
+def audit_cut_invariants(state: CoverState, r: int) -> tuple[CutFamilyAudit, ...]:
     """Exhaustive crossing-count audit of the r-, (r+1)-, (r+2)-cut families.
 
     For each odd vertex set S with |boundary(S)| in {r, r+1, r+2},
@@ -121,14 +120,11 @@ def audit_cut_invariants(
     (r+2)-cuts at most r*k+2; for even r the claused family, size r+1,
     cannot contain odd cuts at all (every cut has even size), so it is
     reported vacuous and the unclaused even families carry their
-    observed totals with status 'not-checked'.  Scans from scratch;
-    greedy_cover reads the same audit off its per-run tables.
+    observed totals with status 'not-checked'.  Scans from scratch, so
+    it raises CapExceededError beyond SCAN_LIMIT vertices; greedy_cover
+    reads the same audit off its per-run tables.
     """
     g = state.graph
-    if g.n > cap:
-        raise CapExceededError(
-            f"cut-invariant audit needs an exhaustive scan; n = {g.n} exceeds cap {cap}"
-        )
     if g.n % 2 != 0 or g.n < 2:
         raise ValueError("cut audit requires an even vertex count of at least 2")
     codes, odd = odd_subset_codes(g.n)
@@ -288,26 +284,20 @@ def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
         )
 
 
-def greedy_cover(
-    g: Multigraph,
-    r: int,
-    k: int,
-    mode: str = FAST,
-    odd_cap: int = 20,
-) -> CoverReport:
+def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport:
     """Cover edges with k greedily chosen perfect matchings and certify it.
 
     Requires an r-graph (see require_cover_input).  Fast mode makes one
     blossom call per step, exact-lemma mode one per cutting-plane round
-    of _exact_lemma_pick; both run at every n, and odd_cap bounds only
-    the audit (None above it).  Gains are exact integers, predictions
+    of _exact_lemma_pick; both run at every n, and SCAN_LIMIT bounds
+    only the audit (None above it).  Gains are exact integers, predictions
     exact rationals; the final fraction is compared against the product
     bound for (r, k).  Repetition of matchings is allowed; a step that
     gains nothing is flagged stalled.
     """
     require_cover_input(g, r, k, mode)
     exact = mode == EXACT_LEMMA
-    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2) if g.n <= odd_cap else None
+    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2) if g.n <= SCAN_LIMIT else None
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):

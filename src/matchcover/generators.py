@@ -13,6 +13,9 @@ from .errors import GeneratorError
 from .multigraph import Multigraph
 from .oddcuts import _odd_cuts_at_least
 
+# Pairing-model samples `random_regular` draws before it gives up.
+_ATTEMPTS = 2000
+
 
 def petersen() -> Multigraph:
     """The Petersen graph: outer 5-cycle 0..4, spokes, inner pentagram 5..9."""
@@ -63,9 +66,7 @@ def bridge_pair() -> Multigraph:
     return Multigraph(10, tuple(edges))
 
 
-def random_regular(
-    n: int, r: int, seed: int, max_attempts: int = 2000
-) -> Multigraph:
+def random_regular(n: int, r: int, seed: int) -> Multigraph:
     """Random r-regular multigraph passing the odd-cut test, via the pairing model.
 
     Draws pairings of n*r points, rejects any sample with a loop, then
@@ -79,7 +80,7 @@ def random_regular(
         raise GeneratorError(f"random_regular needs r >= 1, got {r}")
     rng = random.Random(seed)
     points = [v for v in range(n) for _ in range(r)]
-    for _ in range(max_attempts):
+    for _ in range(_ATTEMPTS):
         rng.shuffle(points)
         pairs = [(points[i], points[i + 1]) for i in range(0, len(points), 2)]
         if any(u == v for u, v in pairs):
@@ -89,7 +90,7 @@ def random_regular(
             return g
     raise GeneratorError(
         f"no {r}-regular odd-cut-feasible sample on {n} vertices "
-        f"within {max_attempts} attempts (seed {seed})"
+        f"within {_ATTEMPTS} attempts (seed {seed})"
     )
 
 

@@ -14,7 +14,7 @@ routes find the minimum odd cut and are kept deliberately independent:
   the production path is tested against.  Like `tight_odd_cuts` and the
   cover's per-run audit table, it reads every subset's exact cut value
   off `cut_values_by_code`, built by doubling over the vertices in
-  O(2^n), so it is limited to small n.
+  O(2^n), so it is limited to n <= SCAN_LIMIT.
 
 `odd_cuts_at_least` only decides whether every odd cut reaches a bound,
 by Gomory-Hu contraction with flows stopped at the bound; its private
@@ -44,8 +44,8 @@ import numpy as np
 from .errors import CapExceededError, NotRegularError
 from .multigraph import Multigraph
 
-# Hard ceiling for the exhaustive scan: 2^(n-1) subset codes in memory.
-BRUTE_LIMIT = 24
+# The largest n of every exhaustive odd-subset scan: 2^(n-1) codes in memory.
+SCAN_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,10 @@ def _lex_key(s: frozenset[int]) -> tuple[int, ...]:
 
 
 def _code_count(n: int) -> int:
-    """The number 2^(n-1) of subset codes of {1..n-1}, within the scan's cap."""
-    if n - 1 > BRUTE_LIMIT - 1:
+    """The number 2^(n-1) of subset codes of {1..n-1}; n is at most SCAN_LIMIT."""
+    if n > SCAN_LIMIT:
         raise CapExceededError(
-            f"exhaustive odd-subset scan limited to n <= {BRUTE_LIMIT}, got n = {n}"
+            f"exhaustive odd-subset scan limited to n <= {SCAN_LIMIT}, got n = {n}"
         )
     return 1 << (n - 1)
 
@@ -157,17 +157,13 @@ def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
     return OddCutResult(Fraction(int(best), den), witness)
 
 
-def tight_odd_cuts(g: Multigraph, weights, cap: int = 20) -> tuple[frozenset[int], ...]:
+def tight_odd_cuts(g: Multigraph, weights) -> tuple[frozenset[int], ...]:
     """All odd vertex sets S (canonical side) with weight(boundary(S)) == 1 exactly.
 
-    Exhaustive by construction, so n is capped; raises CapExceededError
-    beyond `cap` vertices.
+    Exhaustive by construction, so it raises CapExceededError beyond
+    SCAN_LIMIT vertices.
     """
     _require_even(g)
-    if g.n > cap:
-        raise CapExceededError(
-            f"tight-cut enumeration needs an exhaustive scan; n = {g.n} exceeds cap {cap}"
-        )
     nums, den = scale_weights(weights, g.m)
     codes, odd = odd_subset_codes(g.n)
     cut = cut_values_by_code(g, nums)

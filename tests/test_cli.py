@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, text output, and the JSON report schema."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -9,9 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matchcover import k4, parse_edge_list, petersen, random_regular, serialize
-from matchcover import cli, cover
+from matchcover import (
+    Multigraph, bridge_pair, k4, parse_edge_list, petersen, prism, random_regular,
+    serialize,
+)
+from matchcover import cli, cover, generator_names
 from matchcover.cli import main
 
 from helpers import BOUND_TABLE
@@ -153,9 +160,7 @@ def test_cover_json_schema(capsys):
     )
     assert code == 0
     assert rep["graph"] == {"n": 10, "m": 15, "source": "gen:petersen"}
-    assert rep["params"] == {
-        "r": 3, "k": 6, "mode": "exact-lemma", "pm_cap": 100000, "odd_cap": 20,
-    }
+    assert rep["params"] == {"r": 3, "k": 6, "mode": "exact-lemma"}
     result = rep["result"]
     assert result["covered"] == 15
     assert result["fraction"] == "1"
@@ -185,22 +190,26 @@ def test_cover_cap_exhaustion(capsys):
         ["audit", "-r", "3", "-k", "2", "--mode", "exact-lemma", "--gen", "prism:11"],
     )
     assert code == 3
-    assert err == "error: cap: audit needs an exhaustive scan; n = 22 exceeds odd-cap 20\n"
+    assert err == (
+        "error: cap: audit needs an exhaustive scan; n = 22 exceeds the scan limit 20\n"
+    )
 
 
 @pytest.mark.parametrize("mode", ["fast", "exact-lemma"])
-def test_audit_refuses_before_covering(capsys, monkeypatch, mode):
+def test_audit_refuses_before_covering(capsys, monkeypatch, tmp_path, mode):
     def no_blossom(*_):
-        raise AssertionError("audit covered a graph above odd-cap")
+        raise AssertionError("audit covered a graph above the scan limit")
 
     monkeypatch.setattr(cover, "max_weight_perfect_matching", no_blossom)
     code, _, err = run(capsys, ["audit", "-r", "3", "-k", "8", "--mode", mode,
                                 "--gen", "random_regular:400,3", "--seed", "0"])
     assert code == 3
-    assert "exceeds odd-cap 20" in err
-    # the graph is checked first: a non-r-graph above odd-cap still exits 1
+    assert "exceeds the scan limit 20" in err
+    # the graph is checked first: a non-r-graph above the limit still exits 1
+    big = bridge_pair().edges + tuple((u + 10, v + 10) for u, v in prism(6).edges)
+    (tmp_path / "bridged.txt").write_text(serialize(Multigraph(22, big)))
     code, _, err = run(capsys, ["audit", "-r", "3", "-k", "1", "--mode", mode,
-                                "--gen", "bridge_pair", "--odd-cap", "8"])
+                                "--input", str(tmp_path / "bridged.txt")])
     assert code == 1 and "not-r-graph" in err
 
 
@@ -437,9 +446,77 @@ def test_negative_pm_cap_is_a_usage_error(capsysbinary):
     assert code == 3 and b"passed the cap of 0" in err
 
 
-def test_negative_odd_cap_is_a_usage_error(capsysbinary):
-    for value in ("-5", "five"):
-        code, out, err = _bytes_of(capsysbinary, ["audit", "-r", "3", "-k", "2", "--gen",
-                                                  "petersen", "--odd-cap", value])
+def test_removed_cap_flags_are_unknown_arguments(capsysbinary):
+    # one scan limit, oddcuts.SCAN_LIMIT; --pm-cap only where enumeration honours it
+    for argv, flag in [
+        (["cover", "-r", "3", "-k", "2"], ["--odd-cap", "20"]),
+        (["cover", "-r", "3", "-k", "2"], ["--pm-cap", "9"]),
+        (["audit", "-r", "3", "-k", "2"], ["--odd-cap", "20"]),
+        (["audit", "-r", "3", "-k", "2"], ["--pm-cap", "9"]),
+        (["exact", "-k", "2"], ["--odd-cap", "20"]),
+        (["decompose", "-r", "3"], ["--odd-cap", "20"]),
+        (["multicolor", "-r", "3"], ["--odd-cap", "20"]),
+        (["bf-search", "-r", "3"], ["--odd-cap", "20"]),
+    ]:
+        code, out, err = _bytes_of(capsysbinary, argv + ["--gen", "petersen"] + flag)
         assert (code, out) == (2, b"")
-        assert f"argument --odd-cap: expected a non-negative integer, got '{value}'".encode() in err
+        assert f"unrecognized arguments: {' '.join(flag)}".encode() in err
+
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """(edge-list text, argv) for any subcommand; argv reads the graph from
+    the file FILE.  The text is a random small multigraph of any degrees and
+    parity, with parallel edges; an r-graph, whose r the argv mostly asks
+    for; or, now and then, malformed text."""
+    r = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["multigraph", "r-graph", "malformed"]))
+    if kind == "malformed":
+        text = draw(st.text(alphabet="0123456789 -#x\n", max_size=24))
+    elif kind == "r-graph":
+        n, degree = 2 * draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        text = serialize(random_regular(n, degree, draw(st.integers(0, 99))))
+        r = degree if draw(st.integers(0, 3)) else r
+    else:
+        n = draw(st.integers(0, 8))
+        ends = st.integers(0, max(n - 1, 0))
+        edges = [(u, v) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=12))
+                 if u != v or draw(st.integers(0, 9)) == 0]
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    r, k = ["-r", str(r)], ["-k", str(draw(st.integers(0, 5)))]
+    graph, pm_cap = ["--input", "FILE"], ["--pm-cap", "200"]
+    if command == "gen":
+        params = ",".join(map(str, draw(st.lists(st.integers(-1, 8), max_size=3))))
+        argv = ["--gen", f"{draw(st.sampled_from(generator_names() + ('nope',)))}:{params}"]
+    elif command == "bounds":
+        argv = r + k
+    elif command == "check":
+        argv = r + graph
+    elif command in ("cover", "audit"):
+        argv = r + k + ["--mode", draw(st.sampled_from(cover.MODES))] + graph
+    elif command == "exact":
+        argv = k + ["--excessive"] * draw(st.booleans()) + graph + pm_cap
+    else:  # decompose, multicolor, bf-search
+        argv = r + graph + pm_cap
+    return text, ["--format", draw(st.sampled_from(["text", "json"])), command] + argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.txt"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(run=fuzzed_runs())
+def test_fuzzed_invocations_never_end_in_an_internal_error(fuzz_file, run):
+    text, argv = run
+    fuzz_file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(fuzz_file) if a == "FILE" else a for a in argv])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), err.getvalue()

@@ -43,7 +43,7 @@ CASES = [
     "cover -r 3 -k 2 --gen petersen",
     "cover -r 3 -k 6 --mode exact-lemma --gen petersen",
     "cover -r 3 -k 2 --gen bridge_pair",
-    "cover -r 3 -k 2 --mode exact-lemma --gen petersen --pm-cap 3",
+    "cover -r 3 -k 2 --mode exact-lemma --gen prism:11",
     "exact -k 2 --excessive --gen k4",
     "exact --gen k4",
     "exact --excessive --gen bridge_pair",

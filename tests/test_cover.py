@@ -137,7 +137,7 @@ def test_argument_validation():
 
 
 def test_exact_lemma_size_cap():
-    # above odd-cap only the audit stops: the picks need no exhaustive scan
+    # above SCAN_LIMIT only the audit stops: the picks need no exhaustive scan
     rep = greedy_cover(prism(11), 3, 2, mode=EXACT_LEMMA)  # n = 22
     assert rep.all_l1
     assert all(c.audit is None for c in rep.certificates)

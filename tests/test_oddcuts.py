@@ -267,7 +267,7 @@ def test_tight_cuts_petersen_uniform():
 def test_tight_cuts_cap():
     g = prism(11)  # n = 22
     with pytest.raises(CapExceededError):
-        tight_odd_cuts(g, [Fraction(1, 3)] * g.m, cap=20)
+        tight_odd_cuts(g, [Fraction(1, 3)] * g.m)
 
 
 def test_brute_force_cap():
