@@ -12,7 +12,7 @@ Each iteration j picks a perfect matching and certifies its gain:
 w_j is built as integer numerators a - b*count over one denominator d
 and checked exactly against (i) and (ii).  The r-graph check and (iii)
 in both modes are flow threshold decisions (`oddcuts._odd_cuts_at_least`);
-a Gomory-Hu tree is built only to name a rejected graph's witness.
+`is_r_graph` bisects on the decision only to name a rejected graph's witness.
 
 Both modes pick with blossom calls on the gain vector (1 on an
 uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
@@ -275,8 +275,8 @@ def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
         raise ValueError(f"k must be at least 1, got {k}")
     if g.n < 2:
         raise ValueError("cover needs at least 2 vertices")
-    if not g.is_regular(r) or g.n % 2 or _odd_cuts_at_least(g, [1] * g.m, r) is not None:
-        _, cut = is_r_graph(g, r)  # a tree for the witness, or NotRegularError
+    ok, cut = is_r_graph(g, r)  # or NotRegularError
+    if not ok:
         raise NotRGraphError(
             f"not an r-graph: odd cut of value {cut.value} < {r}",
             witness=cut.witness,

@@ -13,8 +13,8 @@ decomposition here is computed exactly and verified by reconstruction.
 `build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
 weight, over the edges.
 
-`verify_membership` builds a Gomory-Hu tree only to report a failing
-vector's minimum cut; the greedy cover decides without it.
+`verify_membership` reports the minimum odd cut, found by bisection on
+the flow decision; the greedy cover only decides.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .bounds import w_k_entry
 from .errors import MembershipFailure, NotRegularError
 from .matching import Matching, enumerate_perfect_matchings
 from .multigraph import Multigraph
-from .oddcuts import OddCutResult, _odd_cuts_at_least, min_odd_cut, scale_weights
+from .oddcuts import OddCutResult, _min_odd_cut, scale_weights
 from .lpfeas import solve_nonneg
 
 
@@ -108,12 +108,11 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     """Check conditions (i), (ii), (iii) and report the first failure.
 
     All three run on the entries scaled to one integer denominator.
-    (iii) is decided by flows stopped at 1 (`oddcuts.odd_cuts_at_least`),
-    so this scales past brute-force sizes; only a failure runs
-    `min_odd_cut` for its value and witness.  A member reports the cut
-    value 1 at {1}, as `min_odd_cut_brute` does: by (ii) every vertex
-    star is an odd cut of value 1.  An odd vertex count fails (iii)
-    outright: the full vertex set is an odd set with empty boundary.
+    (iii) reports the minimum odd cut (`oddcuts.min_odd_cut`), which
+    scales past brute-force sizes.  By (ii) every vertex star is an odd
+    cut of value 1, so a member reports the cut value 1 at {1}, after
+    one flow decision.  An odd vertex count fails (iii) outright: the
+    full vertex set is an odd set with empty boundary.
     """
     if len(w) != g.m:
         raise ValueError(f"weight vector has {len(w)} entries, graph has {g.m} edges")
@@ -126,9 +125,10 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     if g.n % 2 == 1:
         cut = OddCutResult(Fraction(0), frozenset(range(g.n)))
         return MembershipReport(False, "odd_cut", cut, cut)
-    if _odd_cuts_at_least(g, nums, den) is None:
-        return MembershipReport(True, None, None, OddCutResult(Fraction(1), frozenset({1})))
-    cut = min_odd_cut(g, w.values)
+    best, witness = _min_odd_cut(g, nums)
+    cut = OddCutResult(Fraction(best, den), witness)
+    if best >= den:
+        return MembershipReport(True, None, None, cut)
     return MembershipReport(False, "odd_cut", cut, cut)
 
 

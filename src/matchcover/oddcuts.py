@@ -3,12 +3,15 @@
 An odd cut is boundary(S) for a vertex set S of odd cardinality.  Two
 routes find the minimum odd cut and are kept deliberately independent:
 
-* `min_odd_cut` is the production path: a Gomory-Hu tree per
-  positive-weight component, then a scan of the odd fundamental cuts
-  (Padberg-Rao: a minimum odd cut is always a fundamental cut of the
-  tree).  The tree is Gusfield's, built on flat integer arc arrays with
-  Edmonds-Karp flows; it equals the tree networkx's gomory_hu_tree
-  builds.  Scales to every size this package targets.
+* `odd_cuts_at_least` decides whether every odd cut reaches a bound,
+  by Gomory-Hu contraction with flows stopped at the bound (1961); its
+  private form also names an odd side below the bound.  `min_odd_cut`
+  is the production path: every vertex star is an odd cut, so it
+  bisects on the decision below the lightest star.  The greedy cover,
+  `random_regular`, `is_r_graph` (the CLI's `check`) and
+  `verify_membership` all go through the decision; exact-lemma covers
+  take the side it names as a cutting plane.  Scales to every size
+  this package targets.
 
 * `min_odd_cut_brute` scans all odd subsets directly and is the oracle
   the production path is tested against.  Like `tight_odd_cuts` and the
@@ -16,20 +19,12 @@ routes find the minimum odd cut and are kept deliberately independent:
   off `cut_values_by_code`, built by doubling over the vertices in
   O(2^n), so it is limited to n <= SCAN_LIMIT.
 
-`odd_cuts_at_least` only decides whether every odd cut reaches a bound,
-by Gomory-Hu contraction with flows stopped at the bound; its private
-form also names an odd side below the bound, which exact-lemma covers
-take as a cutting plane.  The greedy cover and `random_regular` only
-decide.  Trees are built only where a minimum cut is reported:
-`is_r_graph` (the CLI's `check`) and a failing `verify_membership`.
-`min_odd_cut_brute` is the decision's oracle too.
-
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
-the side of the cut not containing vertex 0, with the lexicographically
-least sorted vertex tuple among equal-value candidates.  The candidates
-are all odd sets for `min_odd_cut_brute` but only the tree's odd
-fundamental cuts for `min_odd_cut`, so their witnesses can differ.
+the side of the cut not containing vertex 0.  `min_odd_cut_brute` takes
+the lexicographically least sorted vertex tuple among all minimizers,
+`min_odd_cut` only among the minimizing vertex stars (else the side
+its last decision named), so their witnesses can differ.
 """
 
 from __future__ import annotations
@@ -206,114 +201,58 @@ def _require_even(g: Multigraph):
         raise ValueError("odd-cut analysis requires an even vertex count")
 
 
-def _positive_weight_components(g: Multigraph, nums: list[int]) -> list[set[int]]:
-    """Connected components of the subgraph of positive-weight edges."""
-    adj = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if nums[eid] > 0:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
-
-
-def _boundary_value(g: Multigraph, nums: list[int], side: frozenset[int]) -> int:
-    return sum(
-        nums[eid] for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
-    )
-
-
 def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
-    """Minimum odd cut via Gomory-Hu trees; the production path.
+    """Minimum odd cut by bisection on the flow decision; the production path.
 
-    Works per component of the positive-weight subgraph: an odd
-    component is itself a zero-value odd cut, and inside an even
-    component the minimum odd cut is one of the tree's odd fundamental
-    cuts.  Candidate values are recomputed directly from the graph, so
-    the returned value always equals weight(boundary(witness)) exactly.
-    The witness is lex-least among those cuts, not among all minimizers.
+    The value always equals weight(boundary(witness)) exactly.  When a
+    vertex star attains the minimum, the witness is the lex-least such
+    star; else it is the side the last decision returned.
     """
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
-    candidates: list[tuple[int, frozenset[int]]] = []
-    for comp in _positive_weight_components(g, nums):
-        if len(comp) % 2 == 1:
-            candidates.append((0, frozenset(comp)))
-            continue
-        tree = _gomory_hu_tree(g, nums, comp)
-        for side in _odd_fundamental_sides(tree, comp):
-            candidates.append((_boundary_value(g, nums, side), side))
-    best = min(v for v, _ in candidates)
-    witness = min(
-        (_canonical(g.n, s) for v, s in candidates if v == best), key=_lex_key
-    )
+    best, witness = _min_odd_cut(g, nums)
     return OddCutResult(Fraction(best, den), witness)
 
 
-def _gomory_hu_tree(g: Multigraph, nums: list[int], comp: set[int]):
-    """Gomory-Hu tree of comp as a child -> parent dict, exactly networkx's.
+def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
+    """The minimum odd cut value of g under nums (even n >= 2) and its witness.
 
-    Gusfield's method with networkx's vertex order (that of comp, from a
-    star at its first vertex) and relabelling rules.
+    Every vertex star is an odd cut, so the lightest star (lex-least
+    canonical side on ties) bounds the minimum from above.  The decision
+    at that bound, then bisection on it, find the exact value; each side
+    a decision returns is a lighter cut and becomes the witness.  At
+    most best.bit_length() + 1 decisions, for the star value best.
     """
-    order = list(comp)
-    head, cap, out = _flow_arcs(g, nums, {v: i for i, v in enumerate(order)})
-    lab, unbounded = list(range(len(order))), sum(cap) + 1
-    tree = [0] * len(order)
-    for source in range(1, len(order)):
-        target = tree[source]
-        sink = set(_sink_side(head, cap, out, lab, {}, source, target, unbounded))
-        for node in range(1, len(order)):
-            if node != source and tree[node] == target and node not in sink:
-                tree[node] = source
-        if target != 0 and tree[target] not in sink:
-            tree[source], tree[target] = tree[target], source
-    return {order[i]: order[tree[i]] for i in range(1, len(order))}
+    wdeg = [0] * g.n
+    for (u, v), x in zip(g.edges, nums):
+        wdeg[u] += x
+        wdeg[v] += x
+    best, witness = min((x, _lex_key(_canonical(g.n, {v}))) for v, x in enumerate(wdeg))
+    witness, low, bound = frozenset(witness), 0, best
+    while low < best:
+        side = _odd_cuts_at_least(g, nums, bound)
+        if side is None:
+            low = bound
+        else:
+            best = sum(nums[e] for e in g.boundary(side))
+            witness = _canonical(g.n, side)
+        bound = (low + best + 1) // 2
+    return best, witness
 
 
-def _flow_arcs(g: Multigraph, nums: list[int], index):
-    """Arcs (head, cap, out) of g's positive edges inside `index`, renumbered
-    by it; arc a and its reverse a ^ 1 carry parallel edges summed."""
+def _flow_arcs(g: Multigraph, nums: list[int]):
+    """Arcs (head, cap, out) of g's positive edges; arc a and its reverse
+    a ^ 1 carry parallel edges summed."""
     caps: dict[tuple[int, int], int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if nums[eid] > 0 and u in index:
-            key = (min(index[u], index[v]), max(index[u], index[v]))
+    for eid, key in enumerate(g.edges):
+        if nums[eid] > 0:
             caps[key] = caps.get(key, 0) + nums[eid]
     head = [x for a, b in caps for x in (b, a)]
     cap = [c for c in caps.values() for _ in (0, 1)]
-    out = [[] for _ in index]
+    out = [[] for _ in range(g.n)]
     for arc in range(len(head)):
         out[head[arc ^ 1]].append(arc)
     return head, cap, out
-
-
-def _odd_fundamental_sides(tree: dict[int, int], comp: set[int]):
-    """Odd fundamental cut sides (those without min(comp)) of a child -> parent tree."""
-    below = {v: {v} for v in comp}
-    for v in tree:
-        u = v
-        while u in tree:
-            u = tree[u]
-            below[u].add(v)
-    root = min(comp)
-    for v in tree:
-        if len(below[v]) % 2 == 1:
-            yield frozenset(comp - below[v] if root in below[v] else below[v])
 
 
 def odd_cuts_at_least(g: Multigraph, weights, bound) -> bool:
@@ -340,7 +279,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
     if bound <= 0:
         return None
     n = g.n
-    head, cap, out = _flow_arcs(g, nums, range(n))
+    head, cap, out = _flow_arcs(g, nums)
     blocks, fresh = [(list(range(n)), 0)], n
     while blocks:
         lab, hub = blocks.pop()
@@ -387,9 +326,8 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
 def _sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
     """None if an Edmonds-Karp flow from t into the vertices labelled hub
     reaches bound, else the vertices t reaches in the residual graph of a
-    maximum flow: the same for every maximum flow, and the sink side
-    networkx's minimum_cut gives for a flow from the hub to t.  A path
-    enters a contracted node anywhere and leaves it from any vertex."""
+    maximum flow: the same for every maximum flow.  A path enters a
+    contracted node anywhere and leaves it from any vertex."""
     n = len(lab)
     res = cap[:]
     flow = 0

@@ -31,10 +31,8 @@ from matchcover.errors import CapExceededError, NoPerfectMatchingError
 from matchcover.matching import Matching, enumerate_perfect_matchings
 from matchcover.oddcuts import (
     OddCutResult,
-    _boundary_value,
     _canonical,
     _lex_key,
-    _positive_weight_components,
     _require_even,
     scale_weights,
     tight_odd_cuts,
@@ -155,33 +153,73 @@ def odd_codes_oracle(n: int) -> list[bool]:
     return [bin(c).count("1") % 2 == 1 for c in range(1 << (n - 1))]
 
 
+def positive_weight_components(g: Multigraph, nums: list[int]) -> list[set[int]]:
+    """Connected components of the subgraph of positive-weight edges."""
+    adj = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if nums[eid] > 0:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = {start}
+        seen[start] = True
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def boundary_value(g: Multigraph, nums: list[int], side: frozenset[int]) -> int:
+    return sum(
+        nums[eid] for eid, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
+    )
+
+
+def fundamental_sides_networkx(g: Multigraph, nums: list[int], comp: set[int]):
+    """The fundamental cut sides of networkx's Gomory-Hu tree of comp
+    (Edmonds-Karp flows), each the subtree below a vertex when the tree
+    is rooted at min(comp)."""
+    gh = nx.Graph()
+    gh.add_nodes_from(comp)
+    for eid, (u, v) in enumerate(g.edges):
+        if nums[eid] > 0 and u in comp:
+            if gh.has_edge(u, v):
+                gh[u][v]["capacity"] += nums[eid]
+            else:
+                gh.add_edge(u, v, capacity=nums[eid])
+    tree = nx.gomory_hu_tree(gh, flow_func=edmonds_karp)
+    parent = dict(nx.bfs_predecessors(tree, min(comp)))  # in BFS order
+    below = {v: {v} for v in comp}
+    for v in reversed(parent):
+        below[parent[v]] |= below[v]
+    return [frozenset(below[v]) for v in parent]
+
+
 def min_odd_cut_networkx(g: Multigraph, weights) -> OddCutResult:
-    """Oracle for `min_odd_cut`: the same candidate scan over networkx's
-    Gomory-Hu tree (Edmonds-Karp flows), rooted at min(comp) per component."""
+    """Oracle for `min_odd_cut`'s value: Padberg-Rao's scan of the odd
+    fundamental cuts of networkx's Gomory-Hu tree, per positive-weight
+    component (an odd component is a zero-value cut).  The witness is
+    lex-least among those candidates."""
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
     candidates = []
-    for comp in _positive_weight_components(g, nums):
+    for comp in positive_weight_components(g, nums):
         if len(comp) % 2 == 1:
             candidates.append((0, frozenset(comp)))
             continue
-        gh = nx.Graph()
-        gh.add_nodes_from(comp)
-        for eid, (u, v) in enumerate(g.edges):
-            if nums[eid] > 0 and u in comp:
-                if gh.has_edge(u, v):
-                    gh[u][v]["capacity"] += nums[eid]
-                else:
-                    gh.add_edge(u, v, capacity=nums[eid])
-        tree = nx.gomory_hu_tree(gh, flow_func=edmonds_karp)
-        parent = dict(nx.bfs_predecessors(tree, min(comp)))  # in BFS order
-        below = {v: {v} for v in comp}
-        for v in reversed(parent):
-            below[parent[v]] |= below[v]
-        for v in parent:
-            if len(below[v]) % 2 == 1:
-                side = frozenset(below[v])
-                candidates.append((_boundary_value(g, nums, side), side))
+        for side in fundamental_sides_networkx(g, nums, comp):
+            if len(side) % 2 == 1:
+                candidates.append((boundary_value(g, nums, side), side))
     best = min(v for v, _ in candidates)
     witness = min(
         (_canonical(g.n, s) for v, s in candidates if v == best), key=_lex_key

@@ -176,7 +176,7 @@ def test_acceptance_6_polytope_machinery(capsys):
 
 def test_acceptance_7_oracle_equivalences(capsys):
     """The two independent routes agree everywhere: blossom vs. enumeration
-    for max-weight matchings, tree cuts vs. exhaustive scan for odd cuts."""
+    for max-weight matchings, flow bisection vs. exhaustive scan for odd cuts."""
     t0 = time.perf_counter()
     problems = []
     rng = random.Random(20260817)

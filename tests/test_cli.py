@@ -50,6 +50,12 @@ def test_check_negative(capsys):
     assert err == "error: not-r-graph: min odd cut 1 < 3\n"
 
 
+def test_check_beyond_the_scan_limit(capsys):
+    code, out, _ = run(capsys, ["check", "-r", "3", "--gen", "random_regular:1000,3", "--seed", "0"])
+    assert code == 0
+    assert out == "r-graph: yes (min odd cut 3)\n"
+
+
 def test_check_json_schema(capsys):
     code, rep = run_json(capsys, ["check", "-r", "3", "--gen", "bridge_pair"])
     assert code == 1

@@ -36,7 +36,13 @@ from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
 
-from helpers import CORPUS_IDS, PETERSEN_PMS, corpus, exact_lemma_pick_enumerated
+from helpers import (
+    CORPUS_IDS,
+    PETERSEN_PMS,
+    corpus,
+    exact_lemma_pick_enumerated,
+    min_odd_cut_networkx,
+)
 
 F = Fraction
 
@@ -146,8 +152,8 @@ def test_exact_lemma_size_cap():
 @pytest.mark.parametrize("n", [40, 64, 100])
 @pytest.mark.parametrize("r", [3, 4])
 def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
-    # every pick is checked by min_odd_cut's Gusfield tree, not by the
-    # contraction decision the cover uses: with K = n+1, y = K*w*d - chi_M
+    # every pick is checked by networkx's Gomory-Hu tree (Gusfield's), not
+    # by the contraction decision the cover uses: with K = n+1, y = K*w*d - chi_M
     # has no odd cut below K*d - 1 iff M crosses every tight cut once
     g = random_regular(n, r, 0)
     rep = greedy_cover(g, r, 8, mode=EXACT_LEMMA)
@@ -160,26 +166,26 @@ def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
         y = [(g.n + 1) * (a - b * c) for c in state.counts]
         for e in m.edge_ids:
             y[e] -= 1
-        assert min_odd_cut(g, y).value >= (g.n + 1) * d - 1
+        assert min_odd_cut_networkx(g, y).value >= (g.n + 1) * d - 1
         state = state.extend(m)
 
 
 @pytest.mark.parametrize("sides", [[{0, 1, 2}], [{1}, {1}]], ids=["non-tight", "repeated"])
 def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides):
-    # the r-graph check runs first; then the decision names these sides in turn
-    real = cover._odd_cuts_at_least
+    # the r-graph check goes through is_r_graph; from exact-lemma's first
+    # decision on, the decision names these sides in turn
     calls = []
 
     def fake(g, nums, bound):
         calls.append(bound)
-        return real(g, nums, bound) if len(calls) == 1 else frozenset(sides[len(calls) - 2])
+        return frozenset(sides[len(calls) - 1])
 
     g = petersen()
     assert len(g.boundary({0, 1, 2})) != 3  # not tight under w_1 = 1/3
     monkeypatch.setattr(cover, "_odd_cuts_at_least", fake)
     with pytest.raises(LemmaViolationError, match="step 1: usage vector left the polytope"):
         greedy_cover(g, 3, 2, mode=EXACT_LEMMA)
-    assert len(calls) == 1 + len(sides)
+    assert len(calls) == len(sides)
 
 
 @pytest.mark.parametrize("case", corpus(), ids=CORPUS_IDS)
@@ -208,7 +214,7 @@ def test_fast_mode_skips_audit_beyond_cap():
     g = prism(11)
     rep = greedy_cover(g, 3, 2, mode=FAST)
     assert all(c.audit is None for c in rep.certificates)
-    assert rep.certificates[1].level == "L1"  # membership still verified by tree cuts
+    assert rep.certificates[1].level == "L1"  # membership still verified by the flow decision
     assert rep.bound_met
 
 
@@ -454,20 +460,25 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
 
 @pytest.mark.parametrize("n,r,seed,failing", [(200, 3, 1, 0), (100, 3, 1, 1), (40, 3, 3, 7)])
 def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, failing):
-    # the r-graph check and membership are decisions, failing steps included
-    calls = []
-    real = oddcuts.min_odd_cut
+    # the r-graph check is one decision at the star value r, so no bisection
+    # runs; membership is one decision per later step, failing steps included
+    checks, steps = [], []
 
-    def counted(g, weights):
-        calls.append(g.n)
-        return real(g, weights)
+    def counted(calls, real):
+        def decide(g, nums, bound):
+            calls.append(bound)
+            return real(g, nums, bound)
+        return decide
 
-    monkeypatch.setattr(oddcuts, "min_odd_cut", counted)
-    monkeypatch.setattr(fractional, "min_odd_cut", counted)
-    rep = greedy_cover(random_regular(n, r, seed), r, 8, mode=FAST)
+    monkeypatch.setattr(oddcuts, "_odd_cuts_at_least", counted(checks, oddcuts._odd_cuts_at_least))
+    monkeypatch.setattr(cover, "_odd_cuts_at_least", counted(steps, cover._odd_cuts_at_least))
+    k = 8
+    rep = greedy_cover(random_regular(n, r, seed), r, k, mode=FAST)
     assert sum(c.membership_verified is False for c in rep.certificates) == failing
-    assert greedy_cover(random_regular(20, r, seed), r, 8, mode=EXACT_LEMMA).all_l1
-    assert calls == []
+    assert checks == [r] and len(steps) == k - 1
+    checks.clear()
+    assert greedy_cover(random_regular(20, r, seed), r, k, mode=EXACT_LEMMA).all_l1
+    assert checks == [r]
 
 
 # fast covers whose usage vectors leave the polytope at some step

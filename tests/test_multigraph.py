@@ -1,6 +1,8 @@
 """Multigraph construction, the edge-list format, and its error reporting."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchcover import EdgeListError, Multigraph, dipole, k4, parse_edge_list, serialize
 
@@ -28,6 +30,35 @@ def test_endpoints_normalized_small_first():
 def test_serialize_round_trip_is_identity():
     for name, g, _ in corpus():
         assert parse_edge_list(serialize(g)) == g, name
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A multigraph and edge-list text for it, with endpoints in either
+    order, parallel edges, isolated vertices, and comment or blank lines
+    (and trailing comments) inserted anywhere."""
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    noise = st.lists(st.sampled_from(("", "   ", "# comment", "  # 1 2")), max_size=2)
+    lines = []
+    for line in [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]:
+        lines += draw(noise)
+        lines.append(line + draw(st.sampled_from(("", " ", "  # trailing"))))
+    lines += draw(noise)
+    return Multigraph(n, tuple(edges)), "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edge_list_texts())
+@example((Multigraph(0, ()), "# empty\n\n0 0\n"))
+@example((Multigraph(5, ((3, 1), (1, 3), (1, 3))), "5 3\n3 1\n# twins\n1 3\n\n1 3  # last\n"))
+def test_parse_serialize_round_trip(case):
+    g, text = case
+    parsed = parse_edge_list(text)
+    assert parsed == g
+    assert parse_edge_list(serialize(g)) == g
+    assert serialize(parsed) == serialize(g)
 
 
 def test_serialize_format():

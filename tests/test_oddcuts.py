@@ -21,10 +21,8 @@ from matchcover import (
     random_regular,
     uniform,
 )
-from matchcover import generators
+from matchcover import generators, oddcuts
 from matchcover.oddcuts import (
-    _boundary_value,
-    _gomory_hu_tree,
     _odd_cuts_at_least,
     _OddCutTables,
     cut_values_by_code,
@@ -38,9 +36,11 @@ from matchcover.oddcuts import (
 )
 
 from helpers import (
+    boundary_value,
     corpus,
     cut_values_oracle,
     fast_cover_step_vectors,
+    fundamental_sides_networkx,
     min_odd_cut_networkx,
     odd_codes_oracle,
 )
@@ -148,8 +148,7 @@ def weighted(n, edges, weights):
 
 
 # Rare in random draws: components whose set order does not start at their
-# minimum vertex (the tree's vertex order and its rooting show), and
-# equal-value minimum s-t cuts (the choice of source side shows).
+# minimum vertex, and equal-value minimum s-t cuts.
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(nonnegative_weighted_multigraphs())
 @example(weighted(14, [(6, 9), (1, 8), (0, 2), (3, 4), (5, 7), (10, 11), (12, 13)], [1] * 7))
@@ -166,8 +165,14 @@ def weighted(n, edges, weights):
 def test_min_odd_cut_matches_networkx_tree_and_brute_force(gw):
     g, w = gw
     res = min_odd_cut(g, w)
-    assert res == min_odd_cut_networkx(g, w)
-    assert res.value == min_odd_cut_brute(g, w).value
+    assert res.value == min_odd_cut_networkx(g, w).value == min_odd_cut_brute(g, w).value
+    assert len(res.witness) % 2 == 1 and 0 not in res.witness
+    assert cut_weight(g, w, res.witness) == res.value
+    # the canonical side of the star at v is {v}, or all but 0 for v = 0
+    stars = [{v} if v else set(range(1, g.n)) for v in range(g.n)]
+    light = [s for s in stars if cut_weight(g, w, s) == res.value]
+    if light:
+        assert res.witness == min(light, key=sorted)
 
 
 def threshold_cases(test):
@@ -214,14 +219,8 @@ def test_odd_cuts_at_least_returns_an_odd_side_below_the_bound(gw, offset):
 def cut_below(g, nums, bound):
     """Whether some cut of the connected weighted graph is below bound:
     the lightest edge of its Gomory-Hu tree is the global minimum cut."""
-    tree = _gomory_hu_tree(g, nums, set(range(g.n)))
-    below = {v: {v} for v in range(g.n)}
-    for v in tree:
-        u = v
-        while u in tree:
-            u = tree[u]
-            below[u].add(v)
-    return any(_boundary_value(g, nums, frozenset(below[v])) < bound for v in tree)
+    sides = fundamental_sides_networkx(g, nums, set(range(g.n)))
+    return any(boundary_value(g, nums, side) < bound for side in sides)
 
 
 # Fast covers with failing steps (40, 3, 3 from step 2 on; 100, 3, 1 at
@@ -274,8 +273,46 @@ def test_brute_force_cap():
     g = prism(13)  # n = 26 > exhaustive limit
     with pytest.raises(CapExceededError):
         min_odd_cut_brute(g, [1] * g.m)
-    # the tree route has no such limit
+    # the bisection on the flow decision has no such limit
     assert min_odd_cut(g, [1] * g.m).value == 3
+
+
+def planted_ball(n, seed, size):
+    """random_regular(n, 3, seed) with its first `size` vertices in BFS
+    order from 0 (odd, connected) as a ball: its boundary edges weigh 1,
+    every other edge 100, so no vertex star is light."""
+    g = random_regular(n, 3, seed)
+    ball, seen = [0], {0}
+    for x in ball:
+        for e in g.incident(x):
+            y = g.other_end(e, x)
+            if y not in seen and len(ball) < size:
+                seen.add(y)
+                ball.append(y)
+    light = g.boundary(ball)
+    nums = [1 if e in light else 100 for e in range(g.m)]
+    return g, nums, frozenset(ball)
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_bisection_finds_a_planted_odd_ball_beyond_the_scan_limit(monkeypatch, n):
+    g, nums, ball = planted_ball(n, 0, 15)
+    decisions = []
+    real = oddcuts._odd_cuts_at_least
+
+    def counted(g, nums, bound):
+        decisions.append(bound)
+        return real(g, nums, bound)
+
+    monkeypatch.setattr(oddcuts, "_odd_cuts_at_least", counted)
+    res = min_odd_cut(g, nums)
+    stars = [sum(nums[e] for e in g.incident(v)) for v in range(g.n)]
+    assert res.value <= boundary_value(g, nums, ball) < min(stars)
+    assert len(res.witness) % 2 == 1 and 0 not in res.witness
+    assert boundary_value(g, nums, res.witness) == res.value
+    assert 1 < len(decisions) <= min(stars).bit_length() + 1
+    if n == 200:
+        assert res.value == min_odd_cut_networkx(g, nums).value
 
 
 def kernel_case(n, big):
