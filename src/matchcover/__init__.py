@@ -69,6 +69,7 @@ from .generators import (
     prism,
     random_regular,
 )
+from .lpfeas import solve_nonneg
 from .matching import (
     Matching,
     enumerate_perfect_matchings,

@@ -180,12 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="convex decomposition of the uniform vector")
     sp.add_argument("-r", type=int, required=True)
     add_graph_opts(sp)
-    add_pm_cap(sp)
 
     sp = sub.add_parser("multicolor", help="p-fold cover by r*p perfect matchings")
     sp.add_argument("-r", type=int, required=True)
     add_graph_opts(sp)
-    add_pm_cap(sp)
 
     sp = sub.add_parser("bf-search", help="exhaustive search for a double cover "
                         "by 2r perfect matchings")
@@ -365,7 +363,7 @@ def _cmd_bounds(_g, args):
 
 def _cmd_decompose(g: Multigraph, args):
     w = uniform(g, args.r)
-    dec = decompose(g, w, cap=args.pm_cap)
+    dec = decompose(g, w)
     result = {
         "terms": [
             {"coefficient": format_fraction(c), "matching": list(m.edge_ids)}
@@ -382,7 +380,7 @@ def _cmd_decompose(g: Multigraph, args):
 
 
 def _cmd_multicolor(g: Multigraph, args):
-    mc = multicoloring(g, args.r, cap=args.pm_cap)
+    mc = multicoloring(g, args.r)
     result = {
         "p": mc.p,
         "num_matchings": len(mc.matchings),
@@ -420,8 +418,8 @@ def _cmd_bf_search(g: Multigraph, args):
 
 
 def _cmd_audit(g: Multigraph, args):
-    require_cover_input(g, args.r, args.k, args.mode)
-    if g.n > SCAN_LIMIT:  # refuse before covering
+    if g.n > SCAN_LIMIT:  # refuse before covering, once the graph is checked
+        require_cover_input(g, args.r, args.k, args.mode)
         raise CapExceededError(
             f"audit needs an exhaustive scan; n = {g.n} exceeds the scan limit {SCAN_LIMIT}"
         )

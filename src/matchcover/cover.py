@@ -31,6 +31,7 @@ lexicographically least maximum); nothing is enumerated.
   from the flow decision: one decision per pick both checks membership
   and names a tight cut the pick crosses more than once, if any, and
   the pick is made again.  Nothing is scanned, so it runs at every n.
+  The pick is `fractional._exact_lemma_pick`, which decompositions share.
 
 At desk scale (n <= oddcuts.SCAN_LIMIT) every step also carries an audit
 of the r-, (r+1)- and (r+2)-cut families, read off one per-run table of
@@ -49,7 +50,7 @@ from math import lcm
 
 from .bounds import product_bound, w_k_entry
 from .errors import LemmaViolationError, NotRGraphError
-from .fractional import _local_failure
+from .fractional import _exact_lemma_pick, _local_failure
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (
@@ -233,39 +234,6 @@ class CoverReport:
         return all(c.level == "L1" for c in self.certificates)
 
 
-def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, step: int) -> Matching:
-    """The lexicographically least max-gain perfect matching crossing
-    every tight cut of w = nums/d once; proves w a member on the way.
-
-    With K = n+1 and y = K*nums - chi_M, every odd cut of y weighs at
-    least K*d - 1 iff w is a member and M crosses each tight cut once: a
-    tight cut weighs K*d - (crossings), any other at least
-    K*d + K - n/2.  So a side the decision returns is a tight cut M
-    crosses 3 or more times: it joins the cuts penalised in weights, and
-    M is picked again.  A passing M is the least maximum of the face of
-    the penalised cuts, which contains the face of all tight cuts.
-    """
-    big = g.n + 1
-    penalised: list[frozenset[int]] = []
-    while True:
-        chosen = max_weight_perfect_matching(g, weights)
-        y = [big * x for x in nums]
-        for e in chosen.edge_ids:
-            y[e] -= 1
-        side = _odd_cuts_at_least(g, y, big * d - 1)
-        if side is None:
-            return chosen
-        cut = g.boundary(side)
-        if cut in penalised or sum(nums[e] for e in cut) != d:
-            raise LemmaViolationError(
-                f"exact-lemma step {step}: usage vector left the polytope, or the "
-                "pick crosses a penalised tight cut more than once (internal bug)"
-            )
-        penalised.append(cut)
-        for e in cut:
-            weights[e] -= big
-
-
 def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
     """Raise what greedy_cover raises on bad arguments or a graph that is
     not an r-graph (NotRGraphError carries the violating odd cut)."""
@@ -311,7 +279,8 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
                     f"step {step}: usage vector fails (i) or (ii) (internal bug)"
                 )
         if exact:
-            chosen = _exact_lemma_pick(g, nums, d, weights, step)
+            chosen = _exact_lemma_pick(g, nums, d, weights,
+                                       f"exact-lemma step {step}: usage vector")
             verified = tight_honored = True
         else:
             verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None

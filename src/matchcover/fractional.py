@@ -7,8 +7,11 @@ A fractional 1-factor is an edge-weight vector w with
   (iii) w(boundary(S)) >= 1 for every odd vertex set S.
 
 These are exactly the points of the perfect matching polytope, so any
-member decomposes as a convex combination of perfect matchings; the
-decomposition here is computed exactly and verified by reconstruction.
+member decomposes as a convex combination of perfect matchings.
+`_exact_lemma_pick` picks a perfect matching of the minimal face of a
+member with blossom calls and flow decisions; the exact-lemma cover
+takes its matchings from it, and `decompose` peels them off one face at
+a time.  The decomposition is exact and verified by reconstruction.
 
 `build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
 weight, over the edges.
@@ -21,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .bounds import w_k_entry
-from .errors import MembershipFailure, NotRegularError
-from .matching import Matching, enumerate_perfect_matchings
+from .errors import LemmaViolationError, MembershipFailure, NotRegularError
+from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
-from .oddcuts import OddCutResult, _min_odd_cut, scale_weights
-from .lpfeas import solve_nonneg
+from .oddcuts import OddCutResult, _min_odd_cut, _odd_cuts_at_least, scale_weights
 
 
 @dataclass(frozen=True)
@@ -161,41 +163,87 @@ class ConvexDecomposition:
         return tuple(out)
 
 
-def decompose(
-    g: Multigraph, w: FractionalOneFactor, cap: int = 100_000
-) -> ConvexDecomposition:
-    """Write a fractional 1-factor as an exact convex combination of
-    perfect matchings.
+def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, what: str) -> Matching:
+    """The lexicographically least max-gain perfect matching crossing
+    every tight cut of w = nums/d once; proves w a member on the way,
+    given (i) and (ii).  The gains `weights` are all 0/1 or all 0/-1, so
+    two perfect matchings' gains differ by at most n/2; they are
+    penalised in place.  `what` names w in the internal-bug error.
 
-    Enumerates all perfect matchings supported on the positive edges of
-    w, then solves the exact feasibility system: one equation per edge
-    plus the coefficients-sum-to-one row, with the 0/1 incidence rows
-    passed as ints to the integer-preserving simplex.  The coefficients
-    are its basic solution, the one a `Fraction` tableau reaches by the
-    same Bland pivots, so at most m+1 terms.  Membership is verified
-    first and MembershipFailure raised otherwise; a feasible system is
-    then guaranteed, so an infeasible solve indicates an internal bug
-    and fails loudly.  The result is verified by reconstruction before
-    being returned.
+    With K = n+1 and y = K*nums - chi_M, every odd cut of y weighs at
+    least K*d - 1 iff w is a member and M crosses each tight cut once: a
+    tight cut weighs K*d - (crossings), any other at least
+    K*d + K - n/2.  So a side the decision returns is a tight cut M
+    crosses 3 or more times: it joins the cuts penalised in weights, and
+    M is picked again.  A passing M is the least maximum of the face of
+    the penalised cuts, which contains the face of all tight cuts.
+    """
+    big = g.n + 1
+    penalised: list[frozenset[int]] = []
+    while True:
+        chosen = max_weight_perfect_matching(g, weights)
+        y = [big * x for x in nums]
+        for e in chosen.edge_ids:
+            y[e] -= 1
+        side = _odd_cuts_at_least(g, y, big * d - 1)
+        if side is None:
+            return chosen
+        cut = g.boundary(side)
+        if cut in penalised or sum(nums[e] for e in cut) != d:
+            raise LemmaViolationError(
+                f"{what} left the polytope, or the pick crosses a penalised "
+                "tight cut more than once (internal bug)"
+            )
+        penalised.append(cut)
+        for e in cut:
+            weights[e] -= big
+
+
+def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
+    """Write a fractional 1-factor as an exact convex combination of
+    perfect matchings, by peeling faces of the polytope.
+
+    Membership is verified first and MembershipFailure raised otherwise.
+    w is held as numerators nums over d.  Each peel picks M with
+    `_exact_lemma_pick` on gain 0 on the support of w and -1 off it, so
+    M is a perfect matching of the minimal face of w.  It then takes the
+    largest lam <= min over M of w with (w - lam*chi_M)/(1 - lam) still a
+    member: an odd set S allows at most (w(delta S) - 1)/(|M & delta S| - 1).
+    Dinkelbach's steps (1967) find the binding S: at lam = p/q one
+    decision asks whether every odd cut of q*nums - p*d*chi_M weighs at
+    least (q - p)*d, and a side it returns sets lam to that bound of S.
+    A peel zeroes an edge of M or makes tight an odd cut that M crosses
+    more than once, so M leaves the face: the terms are distinct, at most
+    m+1 of them, sorted by edge-id tuple.  Nothing is enumerated.  The
+    result is verified by reconstruction before being returned.
     """
     rep = verify_membership(g, w)
     if not rep.ok:
         raise MembershipFailure(
             f"vector fails membership condition {rep.condition}", rep
         )
-    pms = enumerate_perfect_matchings(g, cap)
-    positive = {e for e, v in enumerate(w.values) if v.numerator > 0}
-    cands = [m for m in pms if positive.issuperset(m.edge_ids)]
-    supports = [frozenset(m.edge_ids) for m in cands]
-    rows = [[int(e in s) for s in supports] for e in range(g.m)]
-    rows.append([1] * len(cands))
-    x = solve_nonneg(rows, [*w.values, Fraction(1)])
-    if x is None:
-        raise AssertionError(
-            "membership verified but no convex decomposition found; internal bug"
-        )
-    terms = tuple((m, c) for m, c in zip(cands, x) if c > 0)
-    dec = ConvexDecomposition(g.m, terms)
+    nums, d = scale_weights(w.values, g.m)
+    rest, terms = Fraction(1), []  # rest: the mass not yet peeled
+    while True:
+        gains = [0 if x else -1 for x in nums]
+        chosen = _exact_lemma_pick(g, nums, d, gains, "decompose: the peeled vector")
+        on = frozenset(chosen.edge_ids)
+        p, q = min((nums[e] for e in on), default=d), d  # lam = p/q
+        while p < q:
+            y = [q * x - p * d if e in on else q * x for e, x in enumerate(nums)]
+            side = _odd_cuts_at_least(g, y, (q - p) * d)
+            if side is None:
+                break
+            cut = g.boundary(side)
+            p, q = sum(nums[e] for e in cut) - d, d * (len(cut & on) - 1)
+        terms.append((chosen, rest * Fraction(p, q)))
+        if p == q:  # w is chi_M
+            break
+        rest *= Fraction(q - p, q)
+        div = gcd((q - p) * d, *y)  # y / ((q - p) * d) is the rest's vector
+        nums, d = [x // div for x in y], (q - p) * d // div
+    terms.sort(key=lambda t: t[0].edge_ids)
+    dec = ConvexDecomposition(g.m, tuple(terms))
     if dec.reconstruct() != w.values or dec.coefficients_sum() != 1:
         raise AssertionError("decomposition failed exact reconstruction; internal bug")
     return dec
@@ -209,7 +257,7 @@ class Multicoloring:
     matchings: tuple[Matching, ...]
 
 
-def multicoloring(g: Multigraph, r: int, cap: int = 100_000) -> Multicoloring:
+def multicoloring(g: Multigraph, r: int) -> Multicoloring:
     """Turn the uniform vector's decomposition into an exact multicover.
 
     Scales the convex coefficients by the least common multiple of
@@ -218,7 +266,7 @@ def multicoloring(g: Multigraph, r: int, cap: int = 100_000) -> Multicoloring:
     total.  p is valid but not necessarily minimal.
     """
     w = uniform(g, r)
-    dec = decompose(g, w, cap)
+    dec = decompose(g, w)
     t = lcm(lcm(*(c.denominator for _, c in dec.terms)), r)
     p = t // r
     out: list[Matching] = []

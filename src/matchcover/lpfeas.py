@@ -1,9 +1,10 @@
 """Exact rational feasibility for A x = b, x >= 0.
 
 Phase-1 simplex with Bland's least-index rule, so termination is
-guaranteed and the answer is exact.  This is all the LP machinery the
-package needs: feasibility plus one basic feasible point, no objective
-of its own.
+guaranteed and the answer is exact: feasibility plus one basic feasible
+point, no objective of its own.  No production route calls it; it is
+the independent oracle the tests check `fractional.decompose` against,
+run over every enumerated perfect matching.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968).  The
 system is scaled by the lcm of its denominators, and every entry is an

@@ -3,9 +3,9 @@
 A Matching stores sorted edge ids only; the graph is passed where
 needed.  `enumerate_perfect_matchings` lists every perfect matching
 (complete, deterministic, capped); the exhaustive searches of `exact`
-(`m_exact`, `excessive_index`, `bf_double_cover`) and `fractional`'s
-`decompose` and `multicoloring` start from it.
-`max_weight_perfect_matching` selects the greedy cover's matchings: one
+(`m_exact`, `excessive_index`, `bf_double_cover`) start from it.
+`max_weight_perfect_matching` selects the greedy cover's matchings and
+the terms of `fractional`'s decompositions: one
 call of this module's own Edmonds blossom, on flat int lists, with
 integer weights perturbed by edge id.  Their unique maximum is the
 lexicographically least maximum-weight perfect matching, so the output

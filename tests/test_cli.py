@@ -18,7 +18,7 @@ from matchcover import (
     Multigraph, bridge_pair, k4, parse_edge_list, petersen, prism, random_regular,
     serialize,
 )
-from matchcover import cli, cover, generator_names
+from matchcover import cli, cover, fractional, generator_names
 from matchcover.cli import main
 
 from helpers import BOUND_TABLE
@@ -207,6 +207,7 @@ def test_audit_refuses_before_covering(capsys, monkeypatch, tmp_path, mode):
         raise AssertionError("audit covered a graph above the scan limit")
 
     monkeypatch.setattr(cover, "max_weight_perfect_matching", no_blossom)
+    monkeypatch.setattr(fractional, "max_weight_perfect_matching", no_blossom)  # exact-lemma picks
     code, _, err = run(capsys, ["audit", "-r", "3", "-k", "8", "--mode", mode,
                                 "--gen", "random_regular:400,3", "--seed", "0"])
     assert code == 3
@@ -256,6 +257,32 @@ def test_audit_command(capsys):
         "audit: 3-cuts: = 2 ok (10 cuts); 4-cuts: 0 seen, no clause; "
         "5-cuts: <= 3*k+2 = 8 ok (36 cuts)\n"
     )
+
+
+def test_audit_checks_the_graph_once(capsys, monkeypatch):
+    real, calls = cover.is_r_graph, []
+
+    def counted(g, r):
+        calls.append(r)
+        return real(g, r)
+
+    monkeypatch.setattr(cover, "is_r_graph", counted)
+    for mode in cover.MODES:
+        calls.clear()
+        code, _, _ = run(capsys, ["audit", "-r", "3", "-k", "2", "--mode", mode,
+                                  "--gen", "petersen"])
+        assert code == 0 and calls == [3]
+
+
+def test_empty_graph_decomposes_and_multicolors(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("0 0\n")
+    code, out, _ = run(capsys, ["decompose", "-r", "3", "--input", str(f)])
+    assert (code, out) == (0, "decomposed the uniform vector into 1 matchings "
+                              "(reconstruction verified exactly)\n  1 * edges []\n")
+    code, rep = run_json(capsys, ["multicolor", "-r", "3", "--input", str(f)])
+    assert code == 0
+    assert rep["result"] == {"p": 1, "num_matchings": 3, "matchings": [[], [], []]}
 
 
 def test_audit_beyond_cap(capsys):
@@ -461,7 +488,9 @@ def test_removed_cap_flags_are_unknown_arguments(capsysbinary):
         (["audit", "-r", "3", "-k", "2"], ["--pm-cap", "9"]),
         (["exact", "-k", "2"], ["--odd-cap", "20"]),
         (["decompose", "-r", "3"], ["--odd-cap", "20"]),
+        (["decompose", "-r", "3"], ["--pm-cap", "9"]),
         (["multicolor", "-r", "3"], ["--odd-cap", "20"]),
+        (["multicolor", "-r", "3"], ["--pm-cap", "9"]),
         (["bf-search", "-r", "3"], ["--odd-cap", "20"]),
     ]:
         code, out, err = _bytes_of(capsysbinary, argv + ["--gen", "petersen"] + flag)
@@ -504,8 +533,10 @@ def fuzzed_runs(draw):
         argv = r + k + ["--mode", draw(st.sampled_from(cover.MODES))] + graph
     elif command == "exact":
         argv = k + ["--excessive"] * draw(st.booleans()) + graph + pm_cap
-    else:  # decompose, multicolor, bf-search
+    elif command == "bf-search":
         argv = r + graph + pm_cap
+    else:  # decompose, multicolor
+        argv = r + graph
     return text, ["--format", draw(st.sampled_from(["text", "json"])), command] + argv
 
 

@@ -55,7 +55,7 @@ CASES = [
     "bounds -r 2 -k 2",
     "decompose -r 3 --gen k4",
     "decompose -r 3 --gen bridge_pair",
-    "decompose -r 3 --gen petersen --pm-cap 3",
+    "decompose -r 3 --gen random_regular:50,3 --seed 0",
     "multicolor -r 3 --gen petersen",
     "multicolor -r 3 --gen bridge_pair",
     "bf-search -r 3 --gen petersen",

@@ -182,7 +182,7 @@ def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides):
 
     g = petersen()
     assert len(g.boundary({0, 1, 2})) != 3  # not tight under w_1 = 1/3
-    monkeypatch.setattr(cover, "_odd_cuts_at_least", fake)
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", fake)  # the pick's decisions
     with pytest.raises(LemmaViolationError, match="step 1: usage vector left the polytope"):
         greedy_cover(g, 3, 2, mode=EXACT_LEMMA)
     assert len(calls) == len(sides)
@@ -472,13 +472,16 @@ def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, fail
 
     monkeypatch.setattr(oddcuts, "_odd_cuts_at_least", counted(checks, oddcuts._odd_cuts_at_least))
     monkeypatch.setattr(cover, "_odd_cuts_at_least", counted(steps, cover._odd_cuts_at_least))
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least",
+                        counted(steps, fractional._odd_cuts_at_least))
     k = 8
     rep = greedy_cover(random_regular(n, r, seed), r, k, mode=FAST)
     assert sum(c.membership_verified is False for c in rep.certificates) == failing
     assert checks == [r] and len(steps) == k - 1
     checks.clear()
+    steps.clear()
     assert greedy_cover(random_regular(20, r, seed), r, k, mode=EXACT_LEMMA).all_l1
-    assert checks == [r]
+    assert checks == [r] and len(steps) >= k  # a pick decision per cutting-plane round
 
 
 # fast covers whose usage vectors leave the polytope at some step

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import matchcover
 from matchcover import (
-    CapExceededError,
     FractionalOneFactor,
     Matching,
     MembershipFailure,
@@ -18,6 +18,7 @@ from matchcover import (
     decompose,
     dipole,
     enumerate_perfect_matchings,
+    is_perfect_matching,
     k4,
     k33,
     multicoloring,
@@ -28,6 +29,8 @@ from matchcover import (
     verify_membership,
     w_k_entry,
 )
+from matchcover import fractional, lpfeas, matching
+from matchcover.lpfeas import solve_nonneg
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
 
@@ -242,9 +245,73 @@ def test_decompose_rejects_non_members():
     assert exc.value.report.condition == "odd_cut"
 
 
-def test_decompose_respects_cap():
-    with pytest.raises(CapExceededError):
-        decompose(petersen(), uniform(petersen(), 3), cap=3)
+def _peel_cases():
+    """(id, graph, vector): the uniform vector of every corpus graph and of
+    random_regular(n, r, s) for r = 3..6, even n <= 14, s = 0..2 (n = 2 is
+    a dipole), and every later step vector of a k = 5 fast corpus cover,
+    members and non-members alike."""
+    cases = [(name, g, uniform(g, r)) for name, g, r in corpus()]
+    for r in range(3, 7):
+        for n in range(2, 15, 2):
+            for s in range(3):
+                g = random_regular(n, r, s)
+                cases.append((f"rr{n}_{r}_{s}", g, uniform(g, r)))
+    for name, g, r in corpus():
+        steps = list(fast_cover_step_vectors(g, r, 5))[1:]
+        cases += [(f"{name}_w{j}", g, w) for j, w in enumerate(steps, 2)]
+    return cases
+
+
+PEEL_CASES = _peel_cases()
+
+
+@pytest.mark.parametrize("case", PEEL_CASES, ids=[c[0] for c in PEEL_CASES])
+def test_peeled_decomposition_against_the_simplex(case):
+    # the oracle: the exact simplex over every perfect matching in the support
+    _, g, w = case
+    support = {e for e, v in enumerate(w.values) if v}
+    cands = [m for m in enumerate_perfect_matchings(g) if support.issuperset(m.edge_ids)]
+    rows = [[int(e in m.edge_ids) for m in cands] for e in range(g.m)] + [[1] * len(cands)]
+    feasible = solve_nonneg(rows, [*w.values, F(1)]) is not None
+    assert verify_membership(g, w).ok == feasible
+    if not feasible:
+        with pytest.raises(MembershipFailure):
+            decompose(g, w)
+        return
+    dec = decompose(g, w)
+    assert dec.reconstruct() == w.values and dec.coefficients_sum() == 1
+    assert all(c > 0 for _, c in dec.terms)
+    ids = [m.edge_ids for m, _ in dec.terms]
+    assert ids == sorted(set(ids))  # distinct, in edge-id order
+    assert all(is_perfect_matching(g, m) for m, _ in dec.terms)
+    assert len(dec.terms) <= g.m + 1
+
+
+def test_peeled_cases_include_non_uniform_members():
+    kinds = {(verify_membership(g, w).ok, len(set(w.values)) > 1) for _, g, w in PEEL_CASES}
+    assert kinds == {(True, False), (True, True), (False, True)}
+
+
+def test_decompose_and_multicoloring_neither_enumerate_nor_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose enumerated perfect matchings or ran the simplex")
+
+    for mod in (matchcover, matching, fractional, lpfeas):
+        for name in ("enumerate_perfect_matchings", "solve_nonneg"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    assert len(decompose(petersen(), uniform(petersen(), 3)).terms) == 6
+    assert multicoloring(petersen(), 3).p == 2
+    g = random_regular(50, 3, 0)
+    assert decompose(g, uniform(g, 3)).reconstruct() == uniform(g, 3).values
+    assert multicoloring(g, 3).p >= 1
+
+
+def test_empty_graph_decomposes_into_one_empty_term():
+    g = Multigraph(0, ())
+    dec = decompose(g, uniform(g, 3))
+    assert [(m.edge_ids, c) for m, c in dec.terms] == [((), 1)]
+    mc = multicoloring(g, 3)
+    assert (mc.p, [m.edge_ids for m in mc.matchings]) == (1, [(), (), ()])
 
 
 def test_multicoloring_petersen_needs_two_rounds():
@@ -272,36 +339,36 @@ def test_multicoloring_proper_colorings():
 # uniform(g, r)) terms) and of repr((p, tuple of edge_ids over the
 # multicoloring(g, r) matchings)) for g = random_regular(n, r, seed): the
 # decompose workload's classes at seeds 0 and 1, plus the two slowest
-# baseline graphs; recorded with the Fraction-tableau simplex
+# baseline graphs; recorded with the peeling route
 DECOMPOSITION_PINS = {
-    (10, 3, 0): ("f2e13730c049d8bb706d6f2d0ad1507a6a6b5aef5da8b8155fd502b6e772cc3b",
-                 "937b0121be632fc2c2524f99bdf32e0010e201361949358b92eb58a20288af3c"),
-    (10, 3, 1): ("1472dd83407cff31d8134a32229d4407c4f7e26ffb197be79a68b0aae57df398",
-                 "2f93f25645b1493a6cfa1ddc9d9cb35aefaa37706eb49b57c5013d9d39e7b4cd"),
-    (12, 3, 0): ("184e8b8fa6257853214c83f9ad9683f98af575bb0812a6cb7f43beb59ae22cee",
-                 "f4b06286d02d433d3f850567136bd618836e7c8d0193e5f69d01de0193fbebef"),
+    (10, 3, 0): ("498267cde8e7ec698a3fd6305c8da0fe266699eb33ee972ea37a4786a5be11dd",
+                 "81350acd726eb523b08d9104eb5b14e48edb6d772a25af58c4426744619d03fa"),
+    (10, 3, 1): ("a62109e05249e24d6cfc0a454dbb88487665e6dfa7e06a5ef394671e39a65ab3",
+                 "d76c971139610e0a9139295f4933ea670ab61318a32f446c667213e026eb4f6a"),
+    (12, 3, 0): ("97b783afa90a7812c665639c08a07c5e9e71d3cb62dc996fdb62bc9599675dfe",
+                 "8063efca425bfb9103ac7cd7c58cddd4e83f7e22443487cad23352e0d67f0172"),
     (12, 3, 1): ("2e7cad6181a205168dba310d1bae29eeefc61c41df454cb352aea42a2cf607e1",
                  "56fbacd2f1526400ace127f272662a16110bf097dbcabe8c414c779136d5f1dd"),
-    (14, 3, 0): ("b48eafee009f6843b9ef050940187658be686be58a7032075ff07f25fc333d6a",
-                 "b4c6807e2774dbd26a0227fc832c09a3784ac8849c94638622e64b4bbb8a3f5d"),
-    (14, 3, 1): ("ff6799fe88c88324f2516b5a60bd1be25da325cc6325793b127ed54398097492",
-                 "32ae50951c31c56c7e8d8d4f99de44e99225c0cc6ef65d18efafbd52f4c82284"),
-    (8, 4, 0): ("1dfddbd5ac66f8079f2dadbf747b6163a9786910a8476a2433e36c5abe9a57dc",
-                "e9b3b7c568357b471b7aa1d7d6d7120f43f3b3ae6d9c5805e963ef4f2bdab209"),
-    (8, 4, 1): ("270b6982a2ae002e212cdc5294fb77585935142829aacdbe36e6a31c0c03662a",
-                "e6d3f8b2f4bbe4c99ca4957ad822c2c61813c365fc17c2b0c6161402b67ae063"),
-    (6, 5, 0): ("287ef2f3df6f2acc0aba9714d222c34f7b818d77252334dd291ed68d9c01f1e2",
-                "71429c1502eda1ee29c9a887d93fe43d9ec51478e189c552babef81c664c69d6"),
-    (6, 5, 1): ("70696bc051e3dfbabf98d542d37de7fc10f91efab97fdb51057c27daec8af6dc",
-                "ffe7617c6aed6b59073d715c90b6fe40096b38200f151edaaf63b45e300e1ecd"),
-    (6, 6, 0): ("4594354c59d934d2ba67581bedbd36d0637ca358a9b7e12c7b42d9a98aba98ae",
-                "6c9ec49327bc188d4130381fa583c577f0a69dd54bc3fcdd20e979cb824e3f61"),
-    (6, 6, 1): ("e68eff1e7a1ebe6aabf2362b2bd711deaeebc755072b7b1bffd67658a6839e1f",
-                "8bb071a6eb228c6ceec75186084b1d9d8abcfa2661a676e979b2bb203e3e2dcd"),
-    (14, 5, 0): ("63fdc79caae6800f88c866bd9236deee47d835b95b78b4b7ea9d8018323bcab3",
-                 "052a4f9acb5dd710bdbd688bf898c0f5566953338b68fc2a5fdea083f19687c8"),
-    (12, 6, 0): ("e317ec60424b779df7ced0eede19d05d2f483afb33f30bd76905a89cad76bd58",
-                 "74c689b9bfcd3b816a4b53d909f4e2b3f0c07b9b5dfc4f94b83d91f62ff3294e"),
+    (14, 3, 0): ("e14b725300c08cbaba0c74ba67ef97599b72d0848b4e2a319811525875269aec",
+                 "6d50c740479e15d7bb88d0e26da30f5976e2e5788db6858a5d4a98f002c208b3"),
+    (14, 3, 1): ("ccf335b4299c37dbca4c31c51a2ce2652662fa8ba72b8115430d33bc66332f62",
+                 "486c9699e25f3f1b87656ea54423b73be632ae99a14316a9aa85f88b475dcf62"),
+    (8, 4, 0): ("3f3a8ceb374e7cc4a77a290a9fc0b20618c55e74f29b72850166f419f6f6cb8d",
+                "ee6b1227429a27192a85349149bd72eeb53f6ab272aafe2a7036a4b866207f6c"),
+    (8, 4, 1): ("83013c094cbd53f07e3cd01e13ca8220f774fbfd65d5d1ebf07f676a0d2eaa04",
+                "8a5b139bbd4761c4e06e6a08b5b69e8f5947f2b37a6a0d3622591e0215611685"),
+    (6, 5, 0): ("e6b02db0b059af15e4e4df29652bca20f7fd322a0008cf4d4efc8298cbc5a9ed",
+                "99408aab4109e53f8f309c02873768559efa8aa66123d9014d0cd43a8da9b6e1"),
+    (6, 5, 1): ("69a3a87761f47a4ebda5da31f589d5492a2205d1aadac6625c0f0f74da66d6f7",
+                "b21fe781355bd1e4970de52a15f66cecaefdbcb794bc700ee45e71aec8ad9423"),
+    (6, 6, 0): ("5d0b633b584367ef3e257cd34ebb267a80240cb93d3270cebb170ac7ff49a813",
+                "ae90cd3067685b9b326d3287faee7f5a29781a1b0adc6e47f09ad557af34e80a"),
+    (6, 6, 1): ("b4df73751e02911ecfe040d5f79cf16df69fb7b5c6b11f3a13be85a2c8430858",
+                "f1036e10a9efa28efacc7b173cdc808d4c05d6552fe44708bf8f217ca080a5af"),
+    (14, 5, 0): ("f45a678856eedd2483d9ef09f76a7726484f33ba68f207178939708916b33106",
+                 "68acd16c74cd42cc2e384a06ad79e3d17f361e682fd18ddf03e2dacf9e7c9e43"),
+    (12, 6, 0): ("a0a62ad8f5a7e066a5ef722ce32826bb0807f63083ca4b6fd0e13c04944b87b9",
+                 "4567cfcba1ab35d9f70ab0d08a35379244c2780ccfd72936c2dbbe2f51bfe6e2"),
 }
 
 
