@@ -29,6 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+TABLE_RS = (3, 4, 5)  # the r and k rows and columns of bound_table
+TABLE_KS = range(2, 10)
+PLACES = 4  # the decimal places of approx_decimal
+
 
 def _check_rk(r: int, k: int):
     if r < 3:
@@ -93,11 +97,9 @@ def small_k_bound(r: int, k: int) -> Fraction:
     return 1 - rest
 
 
-def bound_table(
-    rs=(3, 4, 5), ks=tuple(range(2, 10))
-) -> list[tuple[int, int, Fraction]]:
-    """(r, k, product_bound) rows, r-major."""
-    return [(r, k, product_bound(r, k)) for r in rs for k in ks]
+def bound_table() -> list[tuple[int, int, Fraction]]:
+    """(r, k, product_bound) rows over TABLE_RS x TABLE_KS, r-major."""
+    return [(r, k, product_bound(r, k)) for r in TABLE_RS for k in TABLE_KS]
 
 
 def format_fraction(f: Fraction) -> str:
@@ -106,20 +108,20 @@ def format_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def approx_decimal(f: Fraction, places: int = 4) -> tuple[str, bool]:
+def approx_decimal(f: Fraction) -> tuple[str, bool]:
     """Decimal rendering and exactness flag.
 
-    Rounds half-even to `places`, strips trailing zeros but keeps at
+    Rounds half-even to PLACES, strips trailing zeros but keeps at
     least one decimal digit.  The flag is True when the value needs no
     rounding at that precision.
     """
     f = Fraction(f)
     if f < 0:
-        s, exact = approx_decimal(-f, places)
+        s, exact = approx_decimal(-f)
         return "-" + s, exact
-    scale = 10**places
+    scale = 10**PLACES
     scaled = f * scale
     rounded = round(scaled)
     exact = scaled == rounded
-    digits = f"{rounded % scale:0{places}d}".rstrip("0") or "0"
+    digits = f"{rounded % scale:0{PLACES}d}".rstrip("0") or "0"
     return f"{rounded // scale}.{digits}", exact

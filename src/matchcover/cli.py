@@ -79,13 +79,31 @@ def _audit_text(families) -> str:
 
 
 class _Failure(Exception):
-    """Internal carrier for (exit code, machine reason, result payload)."""
+    """Internal carrier of a failed run's exit code, machine reason and the
+    result, certificates and text its report still shows."""
 
-    def __init__(self, code: int, reason: str, result: dict | None = None):
+    def __init__(self, code: int, reason: str, result: dict | None = None,
+                 certs: list | None = None, text: list[str] | None = None):
         super().__init__(reason)
         self.code = code
         self.reason = reason
         self.result = result or {}
+        self.certs = certs
+        self.text = text or []
+
+
+# First match wins: every package error is a ValueError, so usage comes last.
+_EXITS = (
+    (EdgeListError, 2, "edge-list"),
+    (GeneratorError, 2, "generator"),
+    (NotRGraphError, 1, "not-r-graph"),
+    (NotRegularError, 1, "not-regular"),
+    (UncoverableEdgeError, 1, "uncoverable-edge"),
+    (NoPerfectMatchingError, 1, "no-perfect-matching"),
+    (MembershipFailure, 1, "membership"),
+    (CapExceededError, 3, "cap"),
+    ((ValueError, OSError), 2, "usage"),
+)
 
 
 def _classify(exc: Exception) -> _Failure:
@@ -93,25 +111,14 @@ def _classify(exc: Exception) -> _Failure:
     is an internal error, reported with its traceback on stderr."""
     if isinstance(exc, _Failure):
         return exc
-    if isinstance(exc, EdgeListError):
-        return _Failure(2, f"edge-list: {exc}")
-    if isinstance(exc, GeneratorError):
-        return _Failure(2, f"generator: {exc}")
-    if isinstance(exc, NotRGraphError):
-        res = {"witness": exc.witness, "cut_value": exc.value}
-        return _Failure(1, f"not-r-graph: {exc}", res if exc.witness is not None else {})
-    if isinstance(exc, NotRegularError):
-        return _Failure(1, f"not-regular: {exc}")
-    if isinstance(exc, UncoverableEdgeError):
-        return _Failure(1, f"uncoverable-edge: {exc}", {"edge": exc.edge_id})
-    if isinstance(exc, NoPerfectMatchingError):
-        return _Failure(1, f"no-perfect-matching: {exc}")
-    if isinstance(exc, MembershipFailure):
-        return _Failure(1, f"membership: {exc}")
-    if isinstance(exc, CapExceededError):
-        return _Failure(3, f"cap: {exc}")
-    if isinstance(exc, (ValueError, OSError)):
-        return _Failure(2, f"usage: {exc}")
+    for types, code, prefix in _EXITS:
+        if isinstance(exc, types):
+            result = None
+            if isinstance(exc, NotRGraphError) and exc.witness is not None:
+                result = {"witness": exc.witness, "cut_value": exc.value}
+            elif isinstance(exc, UncoverableEdgeError):
+                result = {"edge": exc.edge_id}
+            return _Failure(code, f"{prefix}: {exc}", result)
     traceback.print_exception(type(exc), exc, exc.__traceback__)
     return _Failure(4, f"internal: {type(exc).__name__}: {exc}")
 
@@ -220,32 +227,28 @@ def _load_graph(args) -> tuple[Multigraph | None, str | None]:
 
 
 def _params_json(args) -> dict:
-    out = {}
-    for key in ("r", "k", "mode", "pm_cap", "seed", "excessive"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            out[key] = getattr(args, key)
-    return out
+    keys = ("r", "k", "mode", "pm_cap", "seed", "excessive")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _cmd_gen(g: Multigraph, args):
     text = serialize(g)
-    return 0, {"edge_list": text}, None, [text.rstrip("\n")]
+    return {"edge_list": text}, None, [text.rstrip("\n")]
 
 
 def _cmd_check(g: Multigraph, args):
     ok, cut = is_r_graph(g, args.r)
     if cut is None:
-        return 0, {"r_graph": True}, None, ["r-graph: yes (empty graph)"]
+        return {"r_graph": True}, None, ["r-graph: yes (empty graph)"]
     value = format_fraction(cut.value)
     result = {"r_graph": ok, "min_odd_cut": value, "witness": sorted(cut.witness)}
     if ok:
-        return 0, result, None, [f"r-graph: yes (min odd cut {value})"]
+        return result, None, [f"r-graph: yes (min odd cut {value})"]
     text = [
         f"r-graph: no (odd cut of value {value} < {args.r}; "
         f"witness {{{', '.join(map(str, sorted(cut.witness)))}}})"
     ]
-    raise _Failure(1, f"not-r-graph: min odd cut {value} < {args.r}",
-                   {**result, "text": text})
+    raise _Failure(1, f"not-r-graph: min odd cut {value} < {args.r}", result, text=text)
 
 
 def _cover_text(rep) -> list[str]:
@@ -272,8 +275,10 @@ def _cover_text(rep) -> list[str]:
     return lines
 
 
-def _cover_result(rep) -> dict:
-    return {
+def _cmd_cover(g: Multigraph, args):
+    rep = greedy_cover(g, args.r, args.k, mode=args.mode)
+    certs = [asdict(c) for c in rep.certificates]
+    result = {
         "matchings": [list(m.edge_ids) for m in rep.matchings],
         "covered": len(rep.state.covered),
         "fraction": format_fraction(rep.fraction),
@@ -281,17 +286,11 @@ def _cover_result(rep) -> dict:
         "bound_met": rep.bound_met,
         "all_l1": rep.all_l1,
     }
-
-
-def _cmd_cover(g: Multigraph, args):
-    rep = greedy_cover(g, args.r, args.k, mode=args.mode)
-    certs = [asdict(c) for c in rep.certificates]
-    result = _cover_result(rep)
     text = _cover_text(rep)
     if not rep.bound_met:
         raise _Failure(1, f"bound-unmet: {result['fraction']} < {result['bound']}",
-                       {**result, "certificates": certs, "text": text})
-    return 0, result, certs, text
+                       result, certs, text)
+    return result, certs, text
 
 
 def _cmd_exact(g: Multigraph, args):
@@ -318,47 +317,33 @@ def _cmd_exact(g: Multigraph, args):
         text.append(
             f"excessive index: {ei.value} (witness indices {list(ei.witness_indices)})"
         )
-    return 0, result, None, text
+    return result, None, text
 
 
 def _cmd_bounds(_g, args):
     if args.table:
-        rows = bound_table()
-        result = [
-            {"r": r, "k": k, "bound": format_fraction(b),
-             "decimal": approx_decimal(b)[0], "exact": approx_decimal(b)[1]}
-            for r, k, b in rows
-        ]
-        text = []
-        for r in (3, 4, 5):
-            cells = []
-            for rr, k, b in rows:
-                if rr != r:
-                    continue
-                dec, exact = approx_decimal(b)
-                cells.append(
-                    f"k={k}: {format_fraction(b)} ({'=' if exact else '~'}{dec})")
-            text.append(f"r={r}:  " + "; ".join(cells))
-        return 0, {"table": result}, None, text
+        rows, cells = [], {}
+        for r, k, b in bound_table():
+            dec, exact = approx_decimal(b)
+            rows.append({"r": r, "k": k, "bound": format_fraction(b),
+                         "decimal": dec, "exact": exact})
+            cells.setdefault(r, []).append(
+                f"k={k}: {format_fraction(b)} ({'=' if exact else '~'}{dec})")
+        text = [f"r={r}:  " + "; ".join(c) for r, c in cells.items()]
+        return {"table": rows}, None, text
     if args.r is None or args.k is None:
         raise _Failure(2, "usage: bounds needs --table or both -r and -k")
-    result = {
-        "r": args.r,
-        "k": args.k,
-        "product": format_fraction(product_bound(args.r, args.k)),
-        "geometric": format_fraction(geometric_bound(args.r, args.k)),
-    }
-    text = [
-        f"product bound: {result['product']} "
-        f"(~{approx_decimal(product_bound(args.r, args.k))[0]})",
-        f"geometric bound: {result['geometric']} "
-        f"(~{approx_decimal(geometric_bound(args.r, args.k))[0]})",
-    ]
+    bounds = {"product": product_bound(args.r, args.k),
+              "geometric": geometric_bound(args.r, args.k)}
     if args.k <= 2 * args.r - 1:
-        sk = small_k_bound(args.r, args.k)
-        result["small_k"] = format_fraction(sk)
-        text.append(f"small-k bound: {format_fraction(sk)} (~{approx_decimal(sk)[0]})")
-    return 0, result, None, text
+        bounds["small_k"] = small_k_bound(args.r, args.k)
+    result = {"r": args.r, "k": args.k}
+    text = []
+    for name, b in bounds.items():
+        result[name] = format_fraction(b)
+        label = name.replace("_", "-")
+        text.append(f"{label} bound: {result[name]} (~{approx_decimal(b)[0]})")
+    return result, None, text
 
 
 def _cmd_decompose(g: Multigraph, args):
@@ -376,7 +361,7 @@ def _cmd_decompose(g: Multigraph, args):
             "(reconstruction verified exactly)"]
     for m, c in dec.terms:
         text.append(f"  {format_fraction(c)} * edges {list(m.edge_ids)}")
-    return 0, result, None, text
+    return result, None, text
 
 
 def _cmd_multicolor(g: Multigraph, args):
@@ -390,30 +375,22 @@ def _cmd_multicolor(g: Multigraph, args):
         f"p = {mc.p}: {len(mc.matchings)} matchings "
         f"(= {args.r}*{mc.p}) cover every edge exactly {mc.p} times"
     ]
-    return 0, result, None, text
+    return result, None, text
 
 
 def _cmd_bf_search(g: Multigraph, args):
     res = bf_double_cover(g, args.r, cap=args.pm_cap)
+    cover = {"matchings": [list(m.edge_ids) for m in res.matchings]} if res.found else {}
+    result = {"found": res.found, **cover, "pm_count": res.pm_count, "nodes": res.nodes}
     if res.found:
-        result = {
-            "found": True,
-            "matchings": [list(m.edge_ids) for m in res.matchings],
-            "pm_count": res.pm_count,
-            "nodes": res.nodes,
-        }
-        text = [
-            f"double cover found: {len(res.matchings)} matchings "
-            f"(2*{args.r}), every edge exactly twice"
-        ]
-        return 0, result, None, text
+        return result, None, [f"double cover found: {len(res.matchings)} matchings "
+                              f"(2*{args.r}), every edge exactly twice"]
     raise _Failure(
         1,
         f"no-double-cover: exhausted {res.pm_count} matchings ({res.nodes} nodes)",
-        {"found": False, "pm_count": res.pm_count, "nodes": res.nodes,
-         "exhausted": True,
-         "text": [f"no double cover: search space fully explored "
-                  f"({res.pm_count} matchings, {res.nodes} nodes)"]},
+        {**result, "exhausted": True},
+        text=[f"no double cover: search space fully explored "
+              f"({res.pm_count} matchings, {res.nodes} nodes)"],
     )
 
 
@@ -430,10 +407,11 @@ def _cmd_audit(g: Multigraph, args):
     text = [_audit_text(fams)]
     if not audits_pass(fams):
         raise _Failure(1, "audit-violation: some cut family broke its clause",
-                       {**result, "text": text})
-    return 0, result, None, text
+                       result, text=text)
+    return result, None, text
 
 
+# Each handler returns (result, certificates, text); a negative answer raises _Failure.
 _COMMANDS = {
     "gen": _cmd_gen,
     "check": _cmd_check,
@@ -469,13 +447,12 @@ def _run(args, load, meta=None) -> tuple[int, dict, list[str]]:
         g, source = load()
         if g is not None:
             meta = {"n": g.n, "m": g.m, "source": source}
-        code, result, certs, text = _COMMANDS[args.command](g, args)
-        reason = "ok"
+        result, certs, text = _COMMANDS[args.command](g, args)
+        code, reason = 0, "ok"
     except Exception as exc:  # noqa: BLE001 - every failure maps to an exit code
         fail = _classify(exc)
-        code, reason, result = fail.code, fail.reason, fail.result
-        text = result.pop("text", [])
-        certs = result.pop("certificates", None)
+        code, reason, result, certs, text = (fail.code, fail.reason, fail.result,
+                                             fail.certs, fail.text)
     report = {
         "command": args.command,
         "graph": meta,

@@ -34,8 +34,9 @@ lexicographically least maximum); nothing is enumerated.
   The pick is `fractional._exact_lemma_pick`, which decompositions share.
 
 At desk scale (n <= oddcuts.SCAN_LIMIT) every step also carries an audit
-of the r-, (r+1)- and (r+2)-cut families, read off one per-run table of
-those families.
+of the r-, (r+1)- and (r+2)-cut families: the crossing totals are one
+product of the usage counts with the per-run crossing matrix of those
+families (`oddcuts.odd_cut_crossings`).
 
 A certified prediction that fails its exact comparison, or a w_j that
 fails (i) or (ii), raises LemmaViolationError: that is an internal bug
@@ -57,10 +58,10 @@ from .oddcuts import (
     SCAN_LIMIT,
     cut_values_by_code,
     is_r_graph,
+    odd_cut_crossings,
     odd_subset_codes,
     _decode,
     _odd_cuts_at_least,
-    _OddCutTables,
 )
 
 FAST = "fast"
@@ -123,7 +124,7 @@ def audit_cut_invariants(state: CoverState, r: int) -> tuple[CutFamilyAudit, ...
     reported vacuous and the unclaused even families carry their
     observed totals with status 'not-checked'.  Scans from scratch, so
     it raises CapExceededError beyond SCAN_LIMIT vertices; greedy_cover
-    reads the same audit off its per-run tables.
+    reads the same audit off its per-run crossing matrix.
     """
     g = state.graph
     if g.n % 2 != 0 or g.n < 2:
@@ -139,42 +140,28 @@ def _audit_families(r: int, k: int, codes, sizes, sums) -> tuple[CutFamilyAudit,
 
     codes ascend and include every odd set whose cut size is r, r+1 or
     r+2; sizes and sums are the cut sizes and crossing totals of each.
+    The worst set is the one farthest from k under '= k', else the one
+    crossed most; the clause is violated when that set breaks it.
     """
+    # {cut size: (clause text, limit)}; the limit is None for '= k'
+    if r % 2 == 1:
+        clauses = {r: (f"= {k}", None), r + 2: (f"<= {r}*k+2 = {r * k + 2}", r * k + 2)}
+    else:
+        clauses = {r + 1: (f"<= ({r}-1)*k+2 = {(r - 1) * k + 2}", (r - 1) * k + 2)}
     out = []
     for s in (r, r + 1, r + 2):
+        clause, limit = clauses.get(s, (None, None))
         mask = sizes == s
-        num = int(mask.sum())
-        if r % 2 == 1 and s == r:
-            clause = f"= {k}"
-        elif r % 2 == 1 and s == r + 2:
-            clause = f"<= {r}*k+2 = {r * k + 2}"
-        elif r % 2 == 0 and s == r + 1:
-            clause = f"<= ({r}-1)*k+2 = {(r - 1) * k + 2}"
-        else:
-            clause = None
-        if num == 0:
-            status = "vacuous" if clause is not None else "not-checked"
-            out.append(CutFamilyAudit(s, clause, 0, None, status))
-            continue
-        fam = sums[mask].astype(int)
-        if clause is None:
-            out.append(CutFamilyAudit(s, None, num, int(fam.max()), "not-checked"))
-            continue
-        if s == r and r % 2 == 1:
-            bad = (fam != k)
-            worst_idx = int(abs(fam - k).argmax())
-        else:
-            limit = r * k + 2 if s == r + 2 else (r - 1) * k + 2
-            bad = fam > limit
-            worst_idx = int(fam.argmax())
-        worst = int(fam[worst_idx])
-        if bool(bad.any()):
-            offender = codes[mask][worst_idx]
-            out.append(
-                CutFamilyAudit(s, clause, num, worst, "violated", _decode(int(offender)))
-            )
-        else:
-            out.append(CutFamilyAudit(s, clause, num, worst, "satisfied"))
+        fam = sums[mask]
+        status = "not-checked" if clause is None else "satisfied" if len(fam) else "vacuous"
+        worst = witness = None
+        if len(fam):
+            off = abs(fam - k) if clause is not None and limit is None else fam
+            i = int(off.argmax())
+            worst = int(fam[i])
+            if clause is not None and off[i] > (0 if limit is None else limit):
+                status, witness = "violated", _decode(codes[mask][i])
+        out.append(CutFamilyAudit(s, clause, len(fam), worst, status, witness))
     return tuple(out)
 
 
@@ -241,6 +228,8 @@ def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if r < 3:
+        raise ValueError(f"r must be at least 3, got {r}")
     if g.n < 2:
         raise ValueError("cover needs at least 2 vertices")
     ok, cut = is_r_graph(g, r)  # or NotRegularError
@@ -265,7 +254,7 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
     """
     require_cover_input(g, r, k, mode)
     exact = mode == EXACT_LEMMA
-    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2) if g.n <= SCAN_LIMIT else None
+    cuts = odd_cut_crossings(g, range(r, r + 3)) if g.n <= SCAN_LIMIT else None
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):
@@ -304,8 +293,8 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
         state = state.extend(chosen)
         audit = None
         if cuts is not None:
-            cuts.add(chosen.edge_ids)
-            audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
+            codes, sizes, cross = cuts
+            audit = _audit_families(r, step, codes, sizes, cross @ state.counts)
         certs.append(
             IterationCertificate(
                 step=step,

@@ -115,7 +115,7 @@ def from_spec(spec: str, seed: int | None = None) -> Multigraph:
 
     Parameters after the colon are comma-separated integers.
     `random_regular` takes its trailing seed parameter either inline
-    ('random_regular:10,3,7') or from the `seed` argument.
+    ('random_regular:10,3,7') or from the `seed` argument, not both.
     """
     name, _, argpart = spec.partition(":")
     name = name.strip()
@@ -129,6 +129,8 @@ def from_spec(spec: str, seed: int | None = None) -> Multigraph:
         args = [int(p) for p in raw]
     except ValueError:
         raise GeneratorError(f"generator parameters must be integers: {argpart!r}") from None
+    if name == "random_regular" and len(args) == 3 and seed is not None:
+        raise GeneratorError(f"seed given twice: inline {args[2]} and seed={seed}")
     if name == "random_regular" and len(args) == 2 and seed is not None:
         args.append(seed)
     if len(args) != len(params):

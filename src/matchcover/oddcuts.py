@@ -14,10 +14,10 @@ routes find the minimum odd cut and are kept deliberately independent:
   this package targets.
 
 * `min_odd_cut_brute` scans all odd subsets directly and is the oracle
-  the production path is tested against.  Like `tight_odd_cuts` and the
-  cover's per-run audit table, it reads every subset's exact cut value
-  off `cut_values_by_code`, built by doubling over the vertices in
-  O(2^n), so it is limited to n <= SCAN_LIMIT.
+  the production path is tested against.  Like `tight_odd_cuts` and
+  `odd_cut_crossings`, the cover's per-run audit matrix, it reads every
+  subset's exact cut value off `cut_values_by_code`, built by doubling
+  over the vertices in O(2^n), so it is limited to n <= SCAN_LIMIT.
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
@@ -165,33 +165,19 @@ def tight_odd_cuts(g: Multigraph, weights) -> tuple[frozenset[int], ...]:
     return tuple(sorted((_decode(c) for c in codes[odd][cut[odd] == den]), key=_lex_key))
 
 
-class _OddCutTables:
-    """The odd sets of g whose cut size lies in `family`, scanned once,
-    with the crossings of the edges added since, updated edge by edge.
-
-    `fam_codes`, `fam_sizes` and `fam_sums` list those sets in ascending
-    code order, for the cover's per-step audit.  Sizes and parities come
-    from the O(2^n) doubling kernels over all codes.  Sizes are at most m
-    and counts at most `max_count`, which pick the narrow dtypes.
+def odd_cut_crossings(g: Multigraph, family: range):
+    """(codes, sizes, cross) of the odd sets of g whose cut size lies in
+    `family`, for the cover's audit: codes ascend, and cross[i, e] says
+    whether edge e crosses set i, so `cross @ counts` totals each set's
+    crossings.  Sizes come from the O(2^n) doubling kernel, narrowed to
+    the least dtype that holds m before filtering to keep peak memory low.
     """
-
-    def __init__(self, g: Multigraph, family: range, max_count: int):
-        self.edges = g.edges
-        _, odd = odd_subset_codes(g.n)
-        sizes = cut_values_by_code(g, [1] * g.m).astype(np.min_scalar_type(g.m))
-        fam = odd & (sizes >= family.start) & (sizes < family.stop)
-        self.fam_codes = np.flatnonzero(fam).astype(np.uint32)
-        self.fam_sizes = sizes[self.fam_codes]
-        self.fam_sums = np.zeros(len(self.fam_codes), dtype=np.min_scalar_type(max_count))
-
-    def add(self, edge_ids):
-        for e in edge_ids:
-            u, v = self.edges[e]  # u < v, and vertex 0 is never a member
-            bit = self.fam_codes >> np.uint32(v - 1)
-            if u != 0:
-                bit ^= self.fam_codes >> np.uint32(u - 1)
-            bit &= np.uint32(1)
-            self.fam_sums += bit
+    _, odd = odd_subset_codes(g.n)
+    sizes = cut_values_by_code(g, [1] * g.m).astype(np.min_scalar_type(g.m))
+    codes = np.flatnonzero(odd & (sizes >= family.start) & (sizes < family.stop))
+    member = (codes[:, None] << 1 >> np.arange(g.n)) & 1  # vertex 0 is never a member
+    tails, heads = [u for u, _ in g.edges], [v for _, v in g.edges]
+    return codes, sizes[codes], member[:, tails] != member[:, heads]
 
 
 def _require_even(g: Multigraph):

@@ -87,6 +87,13 @@ def test_gen_unknown_generator(capsys):
     assert code == 2
 
 
+def test_seed_given_inline_and_as_flag_is_a_generator_error(capsys):
+    code, rep = run_json(capsys, ["check", "-r", "3", "--gen", "random_regular:10,3,1",
+                                  "--seed", "2"])
+    assert code == 2
+    assert rep["exit_reason"] == "generator: seed given twice: inline 1 and seed=2"
+
+
 def test_bounds_single(capsys):
     code, out, _ = run(capsys, ["bounds", "-r", "3", "-k", "2"])
     assert code == 0
@@ -218,6 +225,21 @@ def test_audit_refuses_before_covering(capsys, monkeypatch, tmp_path, mode):
     code, _, err = run(capsys, ["audit", "-r", "3", "-k", "1", "--mode", mode,
                                 "--input", str(tmp_path / "bridged.txt")])
     assert code == 1 and "not-r-graph" in err
+
+
+@pytest.mark.parametrize("n", [20, 22])  # at and above the scan limit
+@pytest.mark.parametrize("command", ["cover", "audit"])
+def test_r_below_3_is_a_usage_error_before_any_work(capsys, monkeypatch, tmp_path, n, command):
+    def no_blossom(*_):
+        raise AssertionError("a cover with r < 3 ran")
+
+    monkeypatch.setattr(cover, "max_weight_perfect_matching", no_blossom)
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text(serialize(Multigraph(n, tuple((v, (v + 1) % n) for v in range(n)))))
+    for r in ("1", "2"):  # the cycle is 2-regular, not 1-regular
+        code, _, err = run(capsys, [command, "-r", r, "-k", "1", "--input", str(cycle)])
+        assert code == 2
+        assert err == f"error: usage: r must be at least 3, got {r}\n"
 
 
 def test_multicolor_text(capsys):

@@ -34,7 +34,7 @@ from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_c
 from matchcover.fractional import FractionalOneFactor, _local_failure
 from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
-from matchcover.oddcuts import _OddCutTables, min_odd_cut, tight_odd_cuts
+from matchcover.oddcuts import min_odd_cut, odd_cut_crossings, tight_odd_cuts
 
 from helpers import (
     CORPUS_IDS,
@@ -434,7 +434,7 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
     # and w_j may leave the polytope
     g, r, k = case
     pms = enumerate_perfect_matchings(g)
-    cuts = _OddCutTables(g, range(r, r + 3), k * g.n // 2)
+    codes, sizes, cross = odd_cut_crossings(g, range(r, r + 3))
     state = CoverState.initial(g)
     for step in range(1, k + 1):
         w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
@@ -453,8 +453,7 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         elif side is not None:
             assert sum(w.values[e] for e in g.boundary(side)) < 1
         state = state.extend(m)
-        cuts.add(m.edge_ids)
-        audit = _audit_families(r, step, cuts.fam_codes, cuts.fam_sizes, cuts.fam_sums)
+        audit = _audit_families(r, step, codes, sizes, cross @ state.counts)
         assert audit == audit_cut_invariants(state, r)
 
 

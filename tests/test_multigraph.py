@@ -4,7 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchcover import EdgeListError, Multigraph, dipole, k4, parse_edge_list, serialize
+from matchcover import (
+    EdgeListError, GeneratorError, Multigraph, dipole, k4, parse_edge_list, random_regular,
+    serialize,
+)
+from matchcover.generators import from_spec
 
 from helpers import corpus
 
@@ -30,6 +34,14 @@ def test_endpoints_normalized_small_first():
 def test_serialize_round_trip_is_identity():
     for name, g, _ in corpus():
         assert parse_edge_list(serialize(g)) == g, name
+
+
+def test_random_regular_spec_takes_one_seed():
+    g = random_regular(10, 3, 1)
+    assert from_spec("random_regular:10,3,1") == g
+    assert from_spec("random_regular:10,3", seed=1) == g
+    with pytest.raises(GeneratorError, match="seed given twice: inline 1 and seed=2"):
+        from_spec("random_regular:10,3,1", seed=2)
 
 
 @st.composite

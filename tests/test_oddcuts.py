@@ -23,12 +23,13 @@ from matchcover import (
 )
 from matchcover import generators, oddcuts
 from matchcover.oddcuts import (
+    _decode,
     _odd_cuts_at_least,
-    _OddCutTables,
     cut_values_by_code,
     is_r_graph,
     min_odd_cut,
     min_odd_cut_brute,
+    odd_cut_crossings,
     odd_cuts_at_least,
     odd_subset_codes,
     scale_weights,
@@ -349,14 +350,15 @@ def test_odd_cut_tables_filter_the_oracle(added):
         # with `added`, every edge once and the first half twice: a set's
         # crossing count is its cut value under these multiplicities
         ids = list(range(g.m)) + list(range(g.m // 2)) * 2 if added else []
-        tables = _OddCutTables(g, range(r, r + 3), len(ids))
-        tables.add(ids[: g.m])
-        tables.add(ids[g.m :])
-        assert tables.fam_codes.dtype == np.uint32, name
-        assert tables.fam_codes.tolist() == fam, name
-        assert tables.fam_sizes.tolist() == [sizes[c] for c in fam], name
-        crossed = cut_values_oracle(g, [ids.count(e) for e in range(g.m)])
-        assert tables.fam_sums.tolist() == [crossed[c] for c in fam], name
+        counts = [ids.count(e) for e in range(g.m)]
+        codes, fam_sizes, cross = odd_cut_crossings(g, range(r, r + 3))
+        assert codes.tolist() == fam, name
+        assert fam_sizes.tolist() == [sizes[c] for c in fam], name
+        assert [set(np.flatnonzero(row).tolist()) for row in cross] == [
+            g.boundary(_decode(c)) for c in fam
+        ], name
+        crossed = cut_values_oracle(g, counts)
+        assert (cross @ counts).tolist() == [crossed[c] for c in fam], name
 
 
 def test_scale_weights():
