@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -22,6 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
+    TABLE_KS,
+    TABLE_RS,
     approx_decimal,
     bound_table,
     format_fraction,
@@ -43,6 +46,7 @@ from .errors import (
 from .exact import bf_double_cover, excessive_index, m_exact
 from .fractional import decompose, multicoloring, uniform
 from .generators import from_spec, generator_names
+from .matching import PM_CAP
 from .multigraph import Multigraph, parse_edge_list, serialize
 from .oddcuts import SCAN_LIMIT, is_r_graph
 
@@ -154,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for random generators")
 
     def add_pm_cap(sp):
-        sp.add_argument("--pm-cap", type=_cap, default=100_000,
-                        help="max perfect matchings to enumerate (default 100000)")
+        sp.add_argument("--pm-cap", type=_cap, default=PM_CAP,
+                        help=f"max perfect matchings to enumerate (default {PM_CAP})")
 
     sp = sub.add_parser("gen", help="emit a generated graph as edge-list text")
     sp.add_argument("--gen", metavar="NAME[:P1,P2]", required=True)
@@ -182,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("--table", action="store_true",
-                    help="print the full bound table (r=3,4,5; k=2..9)")
+                    help=f"print the full bound table (r={','.join(map(str, TABLE_RS))}; "
+                    f"k={TABLE_KS[0]}..{TABLE_KS[-1]})")
 
     sp = sub.add_parser("decompose", help="convex decomposition of the uniform vector")
     sp.add_argument("-r", type=int, required=True)
@@ -428,13 +433,22 @@ _OUTCOMES = {0: "ok", 1: "negative", 2: "error", 3: "capped", 4: "error"}
 
 
 def _emit(args, report: dict, text: list[str], error: str | None = None):
-    if args.format == "json":
-        print(json.dumps(report, indent=2, default=_json_default))
-    else:
-        for line in text:
-            print(line)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
+    """Print the report.  A reader that closed the pipe gets nothing more:
+    stdout then goes to devnull, so the exit flush stays quiet and the
+    run keeps its own exit code."""
+    try:
+        if args.format == "json":
+            print(json.dumps(report, indent=2, default=_json_default))
+        else:
+            for line in text:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if args.format == "text" and error is not None:
+        print(f"error: {error}", file=sys.stderr)
 
 
 def _run(args, load, meta=None) -> tuple[int, dict, list[str]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoPerfectMatchingError, NotRegularError, UncoverableEdgeError
-from .matching import Matching, enumerate_perfect_matchings
+from .matching import PM_CAP, Matching, enumerate_perfect_matchings
 from .multigraph import Multigraph
 
 
@@ -50,7 +50,7 @@ def _pm_masks(
     return pms, masks, suf
 
 
-def m_exact(g: Multigraph, k: int, pm_cap: int = 100_000) -> ExactCoverage:
+def m_exact(g: Multigraph, k: int, pm_cap: int = PM_CAP) -> ExactCoverage:
     """The exact maximum fraction of edges covered by k perfect matchings.
 
     Repeats add nothing to a union, so the search runs over index
@@ -127,7 +127,7 @@ class ExcessiveIndexResult:
     pm_count: int
 
 
-def excessive_index(g: Multigraph, pm_cap: int = 100_000) -> ExcessiveIndexResult:
+def excessive_index(g: Multigraph, pm_cap: int = PM_CAP) -> ExcessiveIndexResult:
     """Iterative deepening over cover sizes, reusing the subset search.
 
     Raises UncoverableEdgeError (with the lowest offending edge id)
@@ -172,7 +172,7 @@ class DoubleCoverResult:
         return not self.found
 
 
-def bf_double_cover(g: Multigraph, r: int, cap: int = 100_000) -> DoubleCoverResult:
+def bf_double_cover(g: Multigraph, r: int, cap: int = PM_CAP) -> DoubleCoverResult:
     """Search for 2r perfect matchings (repeats allowed) covering every
     edge exactly twice.
 

@@ -115,7 +115,8 @@ def from_spec(spec: str, seed: int | None = None) -> Multigraph:
 
     Parameters after the colon are comma-separated integers.
     `random_regular` takes its trailing seed parameter either inline
-    ('random_regular:10,3,7') or from the `seed` argument, not both.
+    ('random_regular:10,3,7') or from the `seed` argument, not both; a
+    seed for any other generator is an error.
     """
     name, _, argpart = spec.partition(":")
     name = name.strip()
@@ -124,6 +125,8 @@ def from_spec(spec: str, seed: int | None = None) -> Multigraph:
             f"unknown generator {name!r}; known: {', '.join(generator_names())}"
         )
     fn, params = _REGISTRY[name]
+    if seed is not None and "seed" not in params:
+        raise GeneratorError(f"generator {name} takes no seed, got seed={seed}")
     raw = [p for p in argpart.split(",") if p.strip()] if argpart else []
     try:
         args = [int(p) for p in raw]

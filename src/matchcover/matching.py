@@ -6,8 +6,8 @@ needed.  `enumerate_perfect_matchings` lists every perfect matching
 (`m_exact`, `excessive_index`, `bf_double_cover`) start from it.
 `max_weight_perfect_matching` selects the greedy cover's matchings and
 the terms of `fractional`'s decompositions: one
-call of this module's own Edmonds blossom, on flat int lists, with
-integer weights perturbed by edge id.  Their unique maximum is the
+call of this module's own Edmonds blossom, on the edge list as given,
+with integer weights perturbed by edge id.  Their unique maximum is the
 lexicographically least maximum-weight perfect matching, so the output
 never depends on how a solver breaks ties.
 """
@@ -20,6 +20,8 @@ from fractions import Fraction
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
 from .oddcuts import _exact, scale_weights
+
+PM_CAP = 100_000  # default limit of every perfect-matching enumeration
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def matching_weight(m: Matching, weights) -> Fraction:
 
 
 def enumerate_perfect_matchings(
-    g: Multigraph, cap: int = 100_000
+    g: Multigraph, cap: int = PM_CAP
 ) -> tuple[Matching, ...]:
     """All perfect matchings, sorted by edge-id tuple.
 
@@ -157,50 +159,46 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
     reorder matchings of different weight; among equal weights they
     favour the largest edge-indicator vector read from edge 0, which for
     equal-size edge sets is the least sorted id tuple.  Distinct edge
-    sets get distinct perturbations, so the maximum is unique.  Of
-    parallel edges only the copy with the largest W_e can be in it, so
-    the simple graph keeps that copy and its id.  Raises
-    NoPerfectMatchingError when no perfect matching exists (odd n
-    included).
+    sets get distinct perturbations, so the maximum is unique.  The
+    blossom gets every edge, parallel ones too, so its edge k is edge
+    id k.  Raises NoPerfectMatchingError when no perfect matching exists
+    (odd n included).
     """
     if g.n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
     fr = [_exact(w) for w in weights]
     low = min(fr, default=0)
     nums, _ = scale_weights([f - low for f in fr], g.m)
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        pw = (nums[eid] << g.m) + (1 << (g.m - 1 - eid))
-        if (u, v) not in best or pw > best[(u, v)][0]:
-            best[(u, v)] = (pw, eid)
-    pairs = list(best.values())
-    ends = [x for uv in best for x in uv]
-    mate = _blossom(g.n, ends, [pw for pw, _ in pairs])
+    ends = [x for uv in g.edges for x in uv]
+    mate = _blossom(g.n, ends, [(x << g.m) + (1 << (g.m - 1 - e)) for e, x in enumerate(nums)])
     if mate is None:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    return Matching(tuple(pairs[mate[v] >> 1][1] for v in range(g.n) if v < ends[mate[v]]))
+    return Matching(tuple(mate[v] >> 1 for v in range(g.n) if v < ends[mate[v]]))
 
 
 def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     """Maximum-weight perfect matching by Edmonds' primal-dual blossom method.
 
-    Edge k of a simple graph on vertices 0..n-1 joins ends[2k] and
-    ends[2k+1] with integer weight weight[k]; endpoint p of edge p >> 1
-    sits at ends[p], and p ^ 1 is its far end.  Returns mate, where
+    Edge k of a loopless multigraph on vertices 0..n-1 joins ends[2k]
+    and ends[2k+1] with integer weight weight[k]; endpoint p of edge
+    p >> 1 sits at ends[p], and p ^ 1 is its far end.  Parallel edges
+    need no care: each is scanned on its own.  Returns mate, where
     ends[mate[v]] is v's partner and mate[v] >> 1 the matched edge, or
     None when no perfect matching exists.
 
-    Galil's O(n^3) form: one augmentation per stage, slack on vertex duals
-    only.  Weights enter as 4w and vertex duals start even, so slacks
-    between two S-vertices stay even and every dual stays an integer.
+    One augmentation per stage, slack on vertex duals only, never cached:
+    the scan reads tightness off the duals, and a new S-blossom finds its
+    least-slack edge to another S-blossom in one pass over its leaves'
+    edges, O(n^2 m) in the worst case and O(n^3) on r-graphs of fixed r.
+    Weights enter as 4w and vertex duals start even, so slacks between
+    two S-vertices stay even and every dual stays an integer.
     Blossoms are n..2n-1; nested blossoms are expanded and augmented
     through explicit work lists, so nesting depth never meets the
     recursion limit.
     """
-    m = len(weight)
     w4 = [w << 2 for w in weight]
     adj: list[list[int]] = [[] for _ in range(n)]
-    for p in range(2 * m):
+    for p in range(len(ends)):
         adj[ends[p ^ 1]].append(p)
     if any(not a for a in adj):
         return None
@@ -225,10 +223,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T; bit 4 marks a visit in scan
     labelend = [-1] * (2 * n)  # end (outside) of the edge a label came through
     bestedge = [-1] * (2 * n)  # least-slack edge from another S-blossom
-    bestlist: list = [None] * (2 * n)  # far ends of an S-blossom's best edges
     free_ids = list(range(2 * n - 1, n - 1, -1))
     live: list[int] = []  # blossoms in use
-    allowed = [False] * m
     queue: list[int] = []
 
     def slack(k):
@@ -294,21 +290,11 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
             if label[inblossom[x]] == 2:
                 queue.append(x)  # former T-vertices are S now
             inblossom[x] = b
-        best: dict[int, tuple[int, int]] = {}
         for c in path:
-            cand = bestlist[c]
-            if cand is None:
-                cand = [p for x in leaves[c] for p in adj[x]]
-            for p in cand:
-                bj = inblossom[ends[p]]
-                if bj != b and label[bj] == 1:
-                    s = slack(p >> 1)
-                    if bj not in best or s < best[bj][0]:
-                        best[bj] = (s, p)
-            bestlist[c] = None
             bestedge[c] = -1
-        bestlist[b] = [p for _, p in best.values()]
-        bestedge[b] = min(best.values())[1] >> 1 if best else -1
+        cands = [(slack(p >> 1), p >> 1) for x in lv for p in adj[x]
+                 if inblossom[ends[p]] != b and label[inblossom[ends[p]]] == 1]
+        bestedge[b] = min(cands)[1] if cands else -1
 
     def expand(b0, endstage):
         """Dissolve blossom b0 (and, at the end of a stage, its zero-dual
@@ -332,10 +318,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                 p = labelend[b]
                 while j != 0:  # T- and S-sub-blossoms alternate to the base
                     assign(ends[p ^ 1], 2, p)
-                    allowed[es[j - trick] >> 1] = True
                     j += step
                     p = es[j - trick] ^ trick
-                    allowed[p >> 1] = True
                     j += step
                 x = ends[p ^ 1]
                 bv = cs[j]
@@ -354,7 +338,7 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                             break
             label[b] = 0
             labelend[b] = base[b] = bestedge[b] = -1
-            childs[b] = endps[b] = leaves[b] = bestlist[b] = None
+            childs[b] = endps[b] = leaves[b] = None
             free_ids.append(b)
             live.remove(b)
 
@@ -408,8 +392,6 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
         # augmentation; in between, move duals to make new edges tight
         label[:] = [0] * (2 * n)
         bestedge[:] = [-1] * (2 * n)
-        bestlist[n:] = [None] * n
-        allowed[:] = [False] * m
         queue.clear()
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
@@ -425,11 +407,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                     if inblossom[v] == bw:
                         continue
                     k = p >> 1
-                    if not allowed[k]:
-                        ks = dv + dual[w] - w4[k]
-                        if ks <= 0:
-                            allowed[k] = True
-                    if allowed[k]:
+                    ks = dv + dual[w] - w4[k]
+                    if ks <= 0:
                         if label[bw] == 0:
                             assign(w, 2, p ^ 1)
                         elif label[bw] == 1:
@@ -475,7 +454,6 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
             if kind == 4:
                 expand(arg, False)
             else:
-                allowed[arg] = True
                 v = ends[2 * arg]
                 queue.append(v if label[inblossom[v]] == 1 else ends[2 * arg + 1])
         for b in list(live):

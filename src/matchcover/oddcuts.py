@@ -227,14 +227,11 @@ def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
 
 
 def _flow_arcs(g: Multigraph, nums: list[int]):
-    """Arcs (head, cap, out) of g's positive edges; arc a and its reverse
-    a ^ 1 carry parallel edges summed."""
-    caps: dict[tuple[int, int], int] = {}
-    for eid, key in enumerate(g.edges):
-        if nums[eid] > 0:
-            caps[key] = caps.get(key, 0) + nums[eid]
-    head = [x for a, b in caps for x in (b, a)]
-    cap = [c for c in caps.values() for _ in (0, 1)]
+    """Arcs (head, cap, out) of g's positive edges: arc a and its reverse
+    a ^ 1 carry one edge each way, parallel edges in pairs of their own."""
+    pos = [(uv, x) for uv, x in zip(g.edges, nums) if x > 0]
+    head = [x for (a, b), _ in pos for x in (b, a)]
+    cap = [x for _, x in pos for _ in (0, 1)]
     out = [[] for _ in range(g.n)]
     for arc in range(len(head)):
         out[head[arc ^ 1]].append(arc)

@@ -18,7 +18,7 @@ from matchcover import (
     Multigraph, bridge_pair, k4, parse_edge_list, petersen, prism, random_regular,
     serialize,
 )
-from matchcover import cli, cover, fractional, generator_names
+from matchcover import GeneratorError, cli, cover, fractional, from_spec, generator_names
 from matchcover.cli import main
 
 from helpers import BOUND_TABLE
@@ -92,6 +92,14 @@ def test_seed_given_inline_and_as_flag_is_a_generator_error(capsys):
                                   "--seed", "2"])
     assert code == 2
     assert rep["exit_reason"] == "generator: seed given twice: inline 1 and seed=2"
+
+
+def test_seed_for_a_seedless_generator_is_a_generator_error(capsys):
+    with pytest.raises(GeneratorError, match="takes no seed"):
+        from_spec("petersen", seed=5)
+    code, rep = run_json(capsys, ["gen", "--gen", "petersen", "--seed", "5"])
+    assert code == 2
+    assert rep["exit_reason"].startswith("generator:")
 
 
 def test_bounds_single(capsys):
@@ -416,6 +424,38 @@ def test_console_script_installed(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "r-graph: yes (min odd cut 3)\n"
+
+
+def _cli_process(argv, stdout):
+    """Exit code and stderr of the CLI run as its own process, writing to stdout."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-m", "matchcover.cli"] + argv, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["single", "corpus-clean", "corpus-mixed"])
+def test_closed_pipe_keeps_the_exit_code(clean_corpus_dir, mixed_corpus_dir, case):
+    """A reader that is gone before the report is printed gets no traceback,
+    and the run exits with the code it has with a readable stdout."""
+    argv = {
+        "single": ["gen", "--gen", "petersen"],
+        "corpus-clean": ["check", "-r", "3", "--corpus", str(clean_corpus_dir)],
+        "corpus-mixed": ["--format", "json", "check", "-r", "3",
+                         "--corpus", str(mixed_corpus_dir)],
+    }[case]
+    code, _ = _cli_process(argv, subprocess.DEVNULL)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed_code, err = _cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
+    assert closed_code == code == (1 if case == "corpus-mixed" else 0)
 
 
 def _boom(g, args):
