@@ -215,10 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_graph(args) -> tuple[Multigraph | None, str | None]:
     """The graph named by the graph options and its source, or (None, None)
     when the subcommand has none.  A --corpus that reaches here was not run
-    as a corpus: it is combined with another source or is no directory."""
+    as a corpus: it comes with --gen, --input or --seed, or is no directory."""
     if not hasattr(args, "gen"):
         return None, None
     gen, inp = args.gen, getattr(args, "input", None)
+    if args.seed is not None and gen is None:
+        raise _Failure(2, "usage: --seed feeds a generator and needs --gen")
     corpus = getattr(args, "corpus", None)
     if corpus and (gen is not None or inp is not None):
         raise _Failure(2, "usage: --corpus cannot be combined with --gen or --input")
@@ -517,7 +519,7 @@ def _run_corpus(args, directory: Path) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     corpus = getattr(args, "corpus", None)
-    if corpus and args.gen is None and args.input is None and Path(corpus).is_dir():
+    if corpus and (args.gen, args.input, args.seed) == (None,) * 3 and Path(corpus).is_dir():
         return _run_corpus(args, Path(corpus))
     code, report, text = _run(args, lambda: _load_graph(args))
     _emit(args, report, text, report["exit_reason"] if code else None)

@@ -7,10 +7,12 @@ the one pruning table: suf[j] holds every edge that some matching of
 index j or later contains.  Both searches keep their path on an
 explicit stack, so no depth is bounded by recursion.
 
-`m_exact` and `excessive_index` explore index subsets in lexicographic
-order with include-first depth-first search, so the first optimum kept
-is the lexicographically least witness; upper-bound pruning discards
-ties, which by that ordering can only be lexicographically later.
+`m_exact` and `excessive_index` share one decision: the lexicographically
+least kk-subset of matchings whose union covers at least need edges,
+found by include-first depth-first search that stops at its first hit.
+`excessive_index` raises kk until need = m holds; `m_exact` lowers need
+from its upper bound until it holds, so its first answer is the optimum
+with the lex-least optimal witness.
 `bf_double_cover` holds two masks, the edges covered at least once and
 at least twice, and cuts a node when an edge not yet covered twice lies
 in no later matching.
@@ -54,9 +56,11 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = PM_CAP) -> ExactCoverage:
     """The exact maximum fraction of edges covered by k perfect matchings.
 
     Repeats add nothing to a union, so the search runs over index
-    subsets of size min(k, #matchings); the witness is the
-    lexicographically least optimal subset, padded with repeats of its
-    first element when k exceeds the matching count.
+    subsets of size kk = min(k, #matchings).  It asks the decision for
+    need = min(|union of all masks|, kk * n/2) edges and lowers need by
+    one until it holds, which it does by need = n/2 at the latest.  The
+    witness is the lexicographically least optimal subset, padded with
+    repeats of its first element when k exceeds the matching count.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -65,56 +69,50 @@ def m_exact(g: Multigraph, k: int, pm_cap: int = PM_CAP) -> ExactCoverage:
     pms, masks, suf = _pm_masks(g, pm_cap)
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    kk = min(k, len(pms))
-    best, best_sel = _best_subset(masks, suf, kk, g.n // 2, -1)
-    witness = best_sel + (best_sel[0],) * (k - kk) if k > kk else best_sel
-    witness = tuple(sorted(witness))
+    kk, per = min(k, len(pms)), g.n // 2
+    need = min(suf[0].bit_count(), kk * per)
+    while (sel := _first_subset(masks, suf, kk, per, need)) is None:
+        need -= 1
+    witness = tuple(sorted(sel + (sel[0],) * (k - kk)))
     return ExactCoverage(
         k=k,
-        fraction=Fraction(best, g.m),
+        fraction=Fraction(need, g.m),
         witness_indices=witness,
         matchings=tuple(pms[j] for j in witness),
         pm_count=len(pms),
     )
 
 
-def _best_subset(
-    masks: list[int], suf: list[int], kk: int, per: int, floor: int
-) -> tuple[int, tuple[int, ...]]:
-    """The most edges a union of kk >= 1 of the masks covers, with the
-    lexicographically least index subset reaching it; (floor, ()) when
-    no subset covers more than floor edges.
+def _first_subset(
+    masks: list[int], suf: list[int], kk: int, per: int, need: int
+) -> tuple[int, ...] | None:
+    """The lexicographically least kk-subset (kk >= 1) of mask indices
+    whose union covers at least need edges, or None.
 
     suf holds the suffix unions of masks and per the edges in each
     mask.  A branch is cut once its union bound, or its count plus per
-    edges for each mask still to pick, cannot beat the best so far.
-    Picking j leaves the union bound (cur | suf[j]), which only falls
-    as j grows, so its first failure ends the remaining siblings too.
+    edges for each mask still to pick, falls short of need.  Picking j
+    leaves the union bound (cur | suf[j]), which only falls as j grows,
+    so its first failure ends the remaining siblings too.
     """
-    best = floor
-    best_sel = None
-    # one entry per depth: the next index to try there, the union of the
-    # picks above it, and those picks as a linked (j, parent) pair
-    stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    # one entry per depth: the next index to try there and the union of
+    # the picks above it; below the top, that next index is the pick + 1
+    stack: list[tuple[int, int]] = [(0, 0)]
     while stack:
-        j, cur, sel = stack.pop()
+        j, cur = stack.pop()
         rest = kk - 1 - len(stack)  # picks still to make below this depth
         last = len(masks) - 1 - rest
-        while j <= last and (cur | suf[j]).bit_count() > best:
+        while j <= last and (cur | suf[j]).bit_count() >= need:
             nxt = cur | masks[j]
             if not rest:
-                if nxt.bit_count() > best:
-                    best, best_sel = nxt.bit_count(), (j, sel)
-            elif nxt.bit_count() + rest * per > best:
-                stack.append((j + 1, cur, sel))
-                stack.append((j + 1, nxt, (j, sel)))
+                if nxt.bit_count() >= need:
+                    return tuple(i - 1 for i, _ in stack) + (j,)
+            elif nxt.bit_count() + rest * per >= need:
+                stack.append((j + 1, cur))
+                stack.append((j + 1, nxt))
                 break
             j += 1
-    picks: list[int] = []
-    while best_sel is not None:
-        j, best_sel = best_sel
-        picks.append(j)
-    return best, tuple(reversed(picks))
+    return None
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,10 @@ class ExcessiveIndexResult:
 
 
 def excessive_index(g: Multigraph, pm_cap: int = PM_CAP) -> ExcessiveIndexResult:
-    """Iterative deepening over cover sizes, reusing the subset search.
+    """The least k for which the decision finds k matchings covering all
+    m edges, trying k = ceil(m / (n/2)), ceil(m / (n/2)) + 1, ...; the
+    witness is the lexicographically least such subset.  k = #matchings
+    always succeeds once every edge lies in some matching.
 
     Raises UncoverableEdgeError (with the lowest offending edge id)
     when some edge lies in no perfect matching, since no cover of any
@@ -146,16 +147,15 @@ def excessive_index(g: Multigraph, pm_cap: int = PM_CAP) -> ExcessiveIndexResult
             f"edge {missing} lies in no perfect matching", edge_id=missing
         )
     per = g.n // 2
-    for k in range(max(1, -(-g.m // per)), len(pms) + 1):
-        best, got = _best_subset(masks, suf, k, per, g.m - 1)
-        if best == g.m:
-            return ExcessiveIndexResult(
-                value=len(got),
-                witness_indices=got,
-                matchings=tuple(pms[j] for j in got),
-                pm_count=len(pms),
-            )
-    raise AssertionError("full union exists but no cover was found; internal bug")
+    k = max(1, -(-g.m // per))
+    while (got := _first_subset(masks, suf, k, per, g.m)) is None:
+        k += 1
+    return ExcessiveIndexResult(
+        value=k,
+        witness_indices=got,
+        matchings=tuple(pms[j] for j in got),
+        pm_count=len(pms),
+    )
 
 
 @dataclass(frozen=True)

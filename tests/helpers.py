@@ -465,10 +465,12 @@ def bf_double_cover_per_edge(g: Multigraph, r: int, cap: int = 100_000):
 
 
 def best_subset_recursive(pms, kk: int, per: int, floor: int):
-    """Oracle for `exact._best_subset` on the masks of `pms`: the same
-    include-first search over index subsets of size kk, recursing once
-    per pick and cutting a branch whose union bound or count bound
-    cannot beat the best so far.  Returns (best, witness)."""
+    """Oracle for `exact._first_subset` on the masks of `pms`: the most
+    edges a union of kk of them covers, and the lexicographically least
+    index subset doing so, by an include-first branch and bound that
+    recurses once per pick and cuts a branch whose union bound or count
+    bound cannot beat the best so far.  Returns (best, witness), or
+    (floor, ()) when no subset covers more than floor edges."""
     masks = [sum(1 << e for e in pm.edge_ids) for pm in pms]
     suf = [0] * (len(masks) + 1)
     for j in range(len(masks) - 1, -1, -1):

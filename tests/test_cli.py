@@ -102,6 +102,15 @@ def test_seed_for_a_seedless_generator_is_a_generator_error(capsys):
     assert rep["exit_reason"].startswith("generator:")
 
 
+def test_seed_without_a_generator_is_a_usage_error(capsys, tmp_path, clean_corpus_dir):
+    graph = tmp_path / "k4.txt"
+    graph.write_text(serialize(k4()))
+    for source in (["--input", str(graph)], ["--corpus", str(clean_corpus_dir)]):
+        code, rep = run_json(capsys, ["check", "-r", "3", *source, "--seed", "5"])
+        assert code == 2, source
+        assert rep["exit_reason"] == "usage: --seed feeds a generator and needs --gen"
+
+
 def test_bounds_single(capsys):
     code, out, _ = run(capsys, ["bounds", "-r", "3", "-k", "2"])
     assert code == 0
@@ -564,9 +573,10 @@ def test_removed_cap_flags_are_unknown_arguments(capsysbinary):
 @st.composite
 def fuzzed_runs(draw):
     """(edge-list text, argv) for any subcommand; argv reads the graph from
-    the file FILE.  The text is a random small multigraph of any degrees and
-    parity, with parallel edges; an r-graph, whose r the argv mostly asks
-    for; or, now and then, malformed text."""
+    the file FILE, now and then with a --seed it has no use for.  The text
+    is a random small multigraph of any degrees and parity, with parallel
+    edges; an r-graph, whose r the argv mostly asks for; or, now and then,
+    malformed text."""
     r = draw(st.integers(0, 6))
     kind = draw(st.sampled_from(["multigraph", "r-graph", "malformed"]))
     if kind == "malformed":
@@ -599,6 +609,8 @@ def fuzzed_runs(draw):
         argv = r + graph + pm_cap
     else:  # decompose, multicolor
         argv = r + graph
+    if "FILE" in argv and draw(st.integers(0, 3)) == 0:
+        argv += ["--seed", str(draw(st.integers(0, 99)))]
     return text, ["--format", draw(st.sampled_from(["text", "json"])), command] + argv
 
 

@@ -20,7 +20,7 @@ from matchcover import (
     prism,
     random_regular,
 )
-from matchcover.exact import _best_subset, _pm_masks
+from matchcover.exact import _first_subset, _pm_masks
 from matchcover.multigraph import Multigraph
 
 from helpers import (
@@ -160,12 +160,39 @@ def test_double_cover_matches_the_per_edge_search(g, r):
 @pytest.mark.parametrize("g", [c[1] for c in SUBSET_CASES],
                          ids=[c[0] for c in SUBSET_CASES])
 def test_best_subset_matches_the_recursive_search(g):
+    # the decision holds at the oracle's optimum, with its witness, and fails above it
     pms, masks, suf = _pm_masks(g, 100_000)
-    for kk in range(1, 6):
-        for floor in (-1, g.m - 1):
-            assert _best_subset(masks, suf, kk, g.n // 2, floor) == (
-                best_subset_recursive(pms, kk, g.n // 2, floor)
-            ), (kk, floor)
+    for kk in range(1, min(5, len(pms)) + 1):
+        best, sel = best_subset_recursive(pms, kk, g.n // 2, -1)
+        assert _first_subset(masks, suf, kk, g.n // 2, best) == sel, kk
+        assert _first_subset(masks, suf, kk, g.n // 2, best + 1) is None, kk
+
+
+@pytest.mark.parametrize("g", [c[1] for c in SUBSET_CASES],
+                         ids=[c[0] for c in SUBSET_CASES])
+def test_excessive_index_matches_the_recursive_search(g):
+    pms = _pm_masks(g, 100_000)[0]
+    missed = set(range(g.m)).difference(*(pm.edge_ids for pm in pms))
+    if missed:
+        with pytest.raises(UncoverableEdgeError) as exc:
+            excessive_index(g)
+        assert exc.value.edge_id == min(missed)
+        return
+    kk = 1
+    while (oracle := best_subset_recursive(pms, kk, g.n // 2, -1))[0] < g.m:
+        kk += 1
+    res = excessive_index(g)
+    assert (res.value, res.witness_indices) == (kk, oracle[1])
+
+
+def test_searches_that_took_minutes_now_answer():
+    cov = m_exact(random_regular(16, 5, 7), 5)
+    assert cov.fraction == 1
+    assert cov.witness_indices == (1, 319, 714, 801, 864)
+    g = random_regular(16, 6, 7)
+    cov = m_exact(g, 6)
+    assert cov.fraction == 1
+    assert {e for m in cov.matchings for e in m.edge_ids} == set(range(g.m))
 
 
 def test_best_cover_past_the_recursion_limit():
