@@ -76,7 +76,6 @@ from .matching import (
     is_perfect_matching,
     matching_weight,
     max_weight_perfect_matching,
-    max_weight_value,
 )
 from .multigraph import Multigraph, parse_edge_list, serialize
 from .oddcuts import (

@@ -31,7 +31,8 @@ lexicographically least maximum); nothing is enumerated.
   from the flow decision: one decision per pick both checks membership
   and names a tight cut the pick crosses more than once, if any, and
   the pick is made again.  Nothing is scanned, so it runs at every n.
-  The pick is `fractional._exact_lemma_pick`, which decompositions share.
+  The pick is `fractional._exact_lemma_pick`; decompositions share its
+  cutting planes (`fractional._cutting_plane`), not its decision.
 
 At desk scale (n <= oddcuts.SCAN_LIMIT) every step also carries an audit
 of the r-, (r+1)- and (r+2)-cut families: the crossing totals are one

@@ -10,8 +10,10 @@ These are exactly the points of the perfect matching polytope, so any
 member decomposes as a convex combination of perfect matchings.
 `_exact_lemma_pick` picks a perfect matching of the minimal face of a
 member with blossom calls and flow decisions; the exact-lemma cover
-takes its matchings from it, and `decompose` peels them off one face at
-a time.  The decomposition is exact and verified by reconstruction.
+takes its matchings from it.  `decompose` peels such matchings off one
+at a time, with one passing decision per peel.  Both make a tight cut
+the pick crosses more than once a cutting plane (`_cutting_plane`).
+The decomposition is exact and verified by reconstruction.
 
 `build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
 weight, over the edges.
@@ -174,9 +176,9 @@ def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, what: str
     least K*d - 1 iff w is a member and M crosses each tight cut once: a
     tight cut weighs K*d - (crossings), any other at least
     K*d + K - n/2.  So a side the decision returns is a tight cut M
-    crosses 3 or more times: it joins the cuts penalised in weights, and
-    M is picked again.  A passing M is the least maximum of the face of
-    the penalised cuts, which contains the face of all tight cuts.
+    crosses 3 or more times: it becomes a cutting plane, and M is picked
+    again.  A passing M is the least maximum of the face of the
+    penalised cuts, which contains the face of all tight cuts.
     """
     big = g.n + 1
     penalised: list[frozenset[int]] = []
@@ -188,15 +190,23 @@ def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, what: str
         side = _odd_cuts_at_least(g, y, big * d - 1)
         if side is None:
             return chosen
-        cut = g.boundary(side)
-        if cut in penalised or sum(nums[e] for e in cut) != d:
-            raise LemmaViolationError(
-                f"{what} left the polytope, or the pick crosses a penalised "
-                "tight cut more than once (internal bug)"
-            )
-        penalised.append(cut)
-        for e in cut:
-            weights[e] -= big
+        _cutting_plane(g, nums, d, g.boundary(side), weights, penalised, what)
+
+
+def _cutting_plane(g: Multigraph, nums: list[int], d: int, cut: frozenset[int],
+                   weights, penalised: list[frozenset[int]], what: str) -> None:
+    """Make the tight cut `cut` of w = nums/d a cutting plane: its edges
+    lose n+1 in the gains `weights`, so the next pick crosses it once.
+    A cut that is not tight, or is penalised already, is an internal bug.
+    """
+    if cut in penalised or sum(nums[e] for e in cut) != d:
+        raise LemmaViolationError(
+            f"{what} left the polytope, or the pick crosses a penalised "
+            "tight cut more than once (internal bug)"
+        )
+    penalised.append(cut)
+    for e in cut:
+        weights[e] -= g.n + 1
 
 
 def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
@@ -204,40 +214,64 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
     perfect matchings, by peeling faces of the polytope.
 
     Membership is verified first and MembershipFailure raised otherwise.
-    w is held as numerators nums over d.  Each peel picks M with
-    `_exact_lemma_pick` on gain 0 on the support of w and -1 off it, so
-    M is a perfect matching of the minimal face of w.  It then takes the
-    largest lam <= min over M of w with (w - lam*chi_M)/(1 - lam) still a
-    member: an odd set S allows at most (w(delta S) - 1)/(|M & delta S| - 1).
-    Dinkelbach's steps (1967) find the binding S: at lam = p/q one
-    decision asks whether every odd cut of q*nums - p*d*chi_M weighs at
-    least (q - p)*d, and a side it returns sets lam to that bound of S.
-    A peel zeroes an edge of M or makes tight an odd cut that M crosses
-    more than once, so M leaves the face: the terms are distinct, at most
-    m+1 of them, sorted by edge-id tuple.  Nothing is enumerated.  The
-    result is verified by reconstruction before being returned.
+    w is held as numerators nums over d.  Each peel picks the least
+    maximum M of gain 0 on the support of w and -1 off it, kept by
+    cutting planes in the minimal face of w, and peels the largest lam
+    with (w - lam*chi_M)/(1 - lam) still a member.  These points lie on
+    a ray from w, so the feasible lam form an interval [0, lam*], and
+    lam* > 0 exactly when M crosses every tight cut once.  At lam = p/q
+    one flow decision asks whether every odd cut of q*nums - p*d*chi_M
+    weighs at least (q - p)*d.  It starts at lam = min over M of w, and
+    a pass peels lam.  A side S it returns has
+    w(delta S) - 1 < lam*(|M & delta S| - 1): a tight S is crossed 3 or
+    more times, so it becomes a cutting plane and M is picked again; a
+    heavier S sets lam to the bound (w(delta S) - 1)/(|M & delta S| - 1),
+    Dinkelbach's step (1967); a lighter S means w left the polytope.  So
+    one passing decision per peel both proves M in the face and fixes
+    lam*; the last term, w = chi_M, needs none.  A peel zeroes an edge
+    of M or makes tight an odd cut that M crosses more than once, so M
+    leaves the face: the terms are distinct, at most m+1 of them, sorted
+    by edge-id tuple.  Nothing is enumerated.  The result is verified by
+    reconstruction before being returned.
     """
     rep = verify_membership(g, w)
     if not rep.ok:
         raise MembershipFailure(
             f"vector fails membership condition {rep.condition}", rep
         )
+    what = "decompose: the peeled vector"
     nums, d = scale_weights(w.values, g.m)
     rest, terms = Fraction(1), []  # rest: the mass not yet peeled
     while True:
-        gains = [0 if x else -1 for x in nums]
-        chosen = _exact_lemma_pick(g, nums, d, gains, "decompose: the peeled vector")
-        on = frozenset(chosen.edge_ids)
-        p, q = min((nums[e] for e in on), default=d), d  # lam = p/q
-        while p < q:
+        gains, penalised, on = [0 if x else -1 for x in nums], [], None
+        while True:
+            if on is None:  # pick M, again after each new cutting plane
+                chosen = max_weight_perfect_matching(g, gains)
+                on = frozenset(chosen.edge_ids)
+                p, q = min((nums[e] for e in on), default=d), d  # lam = p/q
+                if p == 0:
+                    raise LemmaViolationError(f"{what} gives a zero step (internal bug)")
+            if p == q:  # w is chi_M
+                break
             y = [q * x - p * d if e in on else q * x for e, x in enumerate(nums)]
             side = _odd_cuts_at_least(g, y, (q - p) * d)
             if side is None:
                 break
             cut = g.boundary(side)
-            p, q = sum(nums[e] for e in cut) - d, d * (len(cut & on) - 1)
+            excess = sum(nums[e] for e in cut) - d
+            if excess <= 0:
+                _cutting_plane(g, nums, d, cut, gains, penalised, what)
+                on = None
+                continue
+            step = excess, d * (len(cut & on) - 1)  # the largest lam S allows
+            if step[0] * q >= p * step[1]:
+                raise LemmaViolationError(
+                    f"{what} gives a side whose step is not below {Fraction(p, q)} "
+                    "(internal bug)"
+                )
+            p, q = step
         terms.append((chosen, rest * Fraction(p, q)))
-        if p == q:  # w is chi_M
+        if p == q:
             break
         rest *= Fraction(q - p, q)
         div = gcd((q - p) * d, *y)  # y / ((q - p) * d) is the rest's vector

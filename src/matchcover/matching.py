@@ -36,12 +36,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edge_ids)
 
-    def covered_vertices(self, g: Multigraph) -> frozenset[int]:
-        out = set()
-        for e in self.edge_ids:
-            out.update(g.edges[e])
-        return frozenset(out)
-
     def crossings(self, cut: frozenset[int]) -> int:
         """Number of this matching's edges inside an edge-id set."""
         return sum(1 for e in self.edge_ids if e in cut)
@@ -139,14 +133,6 @@ def enumerate_perfect_matchings(
                 if not has_odd_piece(sub, (nbrs[v] | nbrs[u]) & sub):
                     stack.append((sub, chosen + (e,)))
     return tuple(Matching(ids) for ids in sorted(tuple(sorted(f)) for f in found))
-
-
-def max_weight_value(g: Multigraph, weights) -> Fraction | None:
-    """Maximum total weight of a perfect matching, or None if none exists."""
-    try:
-        return matching_weight(max_weight_perfect_matching(g, weights), weights)
-    except NoPerfectMatchingError:
-        return None
 
 
 def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
@@ -19,6 +20,7 @@ from matchcover import (
     build_w_k,
     bridge_pair,
     dipole,
+    fractional,
     greedy_cover,
     k4,
     k33,
@@ -28,7 +30,12 @@ from matchcover import (
     uniform,
 )
 from matchcover.errors import CapExceededError, NoPerfectMatchingError
-from matchcover.matching import Matching, enumerate_perfect_matchings
+from matchcover.matching import (
+    Matching,
+    enumerate_perfect_matchings,
+    matching_weight,
+    max_weight_perfect_matching,
+)
 from matchcover.oddcuts import (
     OddCutResult,
     _canonical,
@@ -503,3 +510,46 @@ def best_subset_recursive(pms, kk: int, per: int, floor: int):
 
     rec(0, 0, 0)
     return best, best_sel
+
+
+def decompose_pick_then_step(g: Multigraph, w) -> tuple[tuple[Matching, Fraction], ...]:
+    """Oracle for `fractional.decompose`'s terms: each peel first proves
+    its pick in the minimal face with `_exact_lemma_pick`'s own decision
+    at lam = 1/((n+1)d), then takes Dinkelbach's steps from lam = min
+    over M of w, deciding again.  Both decisions go through
+    `fractional._odd_cuts_at_least`, so a test can count them.  w must
+    be a member; the terms come sorted by edge-id tuple."""
+    nums, d = scale_weights(w.values, g.m)
+    rest, terms = Fraction(1), []
+    while True:
+        gains = [0 if x else -1 for x in nums]
+        chosen = fractional._exact_lemma_pick(g, nums, d, gains, "oracle peel")
+        on = frozenset(chosen.edge_ids)
+        p, q = min((nums[e] for e in on), default=d), d
+        while p < q:
+            y = [q * x - p * d if e in on else q * x for e, x in enumerate(nums)]
+            side = fractional._odd_cuts_at_least(g, y, (q - p) * d)
+            if side is None:
+                break
+            cut = g.boundary(side)
+            p, q = sum(nums[e] for e in cut) - d, d * (len(cut & on) - 1)
+        terms.append((chosen, rest * Fraction(p, q)))
+        if p == q:
+            break
+        rest *= Fraction(q - p, q)
+        div = gcd((q - p) * d, *y)
+        nums, d = [x // div for x in y], (q - p) * d // div
+    return tuple(sorted(terms, key=lambda t: t[0].edge_ids))
+
+
+def max_weight_value(g: Multigraph, weights) -> Fraction | None:
+    """Maximum total weight of a perfect matching, or None if none exists."""
+    try:
+        return matching_weight(max_weight_perfect_matching(g, weights), weights)
+    except NoPerfectMatchingError:
+        return None
+
+
+def covered_vertices(m: Matching, g: Multigraph) -> frozenset[int]:
+    """The vertices the edges of m touch."""
+    return frozenset(x for e in m.edge_ids for x in g.edges[e])

@@ -25,7 +25,6 @@ from matchcover import (
     m_exact,
     matching_weight,
     max_weight_perfect_matching,
-    max_weight_value,
     multicoloring,
     petersen,
     product_bound,
@@ -36,7 +35,7 @@ from matchcover import (
 from matchcover.cli import main
 from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
 
-from helpers import BOUND_TABLE, PETERSEN_M_EXACT, PETERSEN_PMS, corpus
+from helpers import BOUND_TABLE, PETERSEN_M_EXACT, PETERSEN_PMS, corpus, max_weight_value
 
 F = Fraction
 

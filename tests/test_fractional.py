@@ -9,6 +9,7 @@ import pytest
 import matchcover
 from matchcover import (
     FractionalOneFactor,
+    LemmaViolationError,
     Matching,
     MembershipFailure,
     NotRegularError,
@@ -21,6 +22,7 @@ from matchcover import (
     is_perfect_matching,
     k4,
     k33,
+    max_weight_perfect_matching,
     multicoloring,
     petersen,
     prism,
@@ -34,7 +36,7 @@ from matchcover.lpfeas import solve_nonneg
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
 
-from helpers import PETERSEN_PMS, corpus, fast_cover_step_vectors
+from helpers import PETERSEN_PMS, corpus, decompose_pick_then_step, fast_cover_step_vectors
 
 F = Fraction
 
@@ -290,6 +292,83 @@ def test_peeled_decomposition_against_the_simplex(case):
 def test_peeled_cases_include_non_uniform_members():
     kinds = {(verify_membership(g, w).ok, len(set(w.values)) > 1) for _, g, w in PEEL_CASES}
     assert kinds == {(True, False), (True, True), (False, True)}
+
+
+PEEL_MEMBERS = [c for c in PEEL_CASES if verify_membership(c[1], c[2]).ok]
+
+
+def _counted_decisions(monkeypatch) -> list[bool]:
+    """Route the peel's flow decisions through a recorder of pass/fail."""
+    outcomes, real = [], fractional._odd_cuts_at_least
+
+    def decide(g, nums, bound):
+        side = real(g, nums, bound)
+        outcomes.append(side is None)
+        return side
+
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", decide)
+    return outcomes
+
+
+@pytest.mark.parametrize("case", PEEL_MEMBERS, ids=[c[0] for c in PEEL_MEMBERS])
+def test_peeling_matches_the_pick_then_step_oracle(case):
+    _, g, w = case
+    assert decompose(g, w).terms == decompose_pick_then_step(g, w)
+
+
+@pytest.mark.parametrize("case", PEEL_MEMBERS, ids=[c[0] for c in PEEL_MEMBERS])
+def test_one_passing_decision_per_peel(monkeypatch, case):
+    # every term but the last, w = chi_M, ends on one passing decision
+    _, g, w = case
+    outcomes = _counted_decisions(monkeypatch)
+    terms = decompose(g, w).terms
+    assert sum(outcomes) == len(terms) - 1
+
+
+def test_peeling_decides_less_than_pick_then_step(monkeypatch):
+    g = random_regular(50, 3, 0)
+    w = uniform(g, 3)
+    outcomes = _counted_decisions(monkeypatch)
+    terms = decompose(g, w).terms
+    ours = len(outcomes)
+    outcomes.clear()
+    assert decompose_pick_then_step(g, w) == terms
+    assert ours < len(outcomes)
+
+
+# the Petersen graph's first pick is PETERSEN_PMS[0], at lam = 1/3; its
+# five edges are the boundary of the 5-cycle {0, 3, 4, 5, 8}, which allows 1/6
+@pytest.mark.parametrize("sides,match", [
+    ([{0, 1, 2}], "gives a side whose step is not below 1/3"),  # crossed once
+    ([{0, 2, 4}], "gives a side whose step is not below 1/3"),  # allows 2/3
+    ([{0, 3, 4, 5, 8}] * 2, "gives a side whose step is not below 1/6"),
+    ([set()], "left the polytope"),  # lighter than the unit
+    ([{1}, {1}], "left the polytope"),  # a tight cut penalised already
+], ids=["one-crossing", "step-above", "step-repeated", "lighter", "tight-repeated"])
+def test_decompose_rejects_a_bad_side(monkeypatch, sides, match):
+    # membership goes through oddcuts; the peel's decisions name these sides
+    calls = []
+
+    def fake(g, nums, bound):
+        calls.append(bound)
+        return frozenset(sides[len(calls) - 1])
+
+    g = petersen()
+    assert max_weight_perfect_matching(g, [0] * g.m).edge_ids == PETERSEN_PMS[0]
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", fake)
+    with pytest.raises(LemmaViolationError, match=f"decompose: the peeled vector {match}"):
+        decompose(g, uniform(g, 3))
+    assert len(calls) == len(sides)
+
+
+def test_decompose_rejects_a_zero_step(monkeypatch):
+    # a pick off the support would peel nothing, forever
+    g = petersen()
+    w = FractionalOneFactor(tuple(F(e in PETERSEN_PMS[0]) for e in range(g.m)))
+    monkeypatch.setattr(fractional, "max_weight_perfect_matching",
+                        lambda g, gains: Matching(PETERSEN_PMS[1]))
+    with pytest.raises(LemmaViolationError, match="decompose: the peeled vector gives a zero step"):
+        decompose(g, w)
 
 
 def test_decompose_and_multicoloring_neither_enumerate_nor_solve(monkeypatch):

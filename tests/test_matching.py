@@ -25,7 +25,6 @@ from matchcover import (
     k33,
     matching_weight,
     max_weight_perfect_matching,
-    max_weight_value,
     petersen,
     prism,
 )
@@ -34,8 +33,10 @@ from helpers import (
     CORPUS_IDS,
     PETERSEN_PMS,
     corpus,
+    covered_vertices,
     enumerate_perfect_matchings_dfs,
     max_weight_perfect_matching_networkx,
+    max_weight_value,
     perfect_matchings_brute,
 )
 
@@ -51,7 +52,7 @@ def test_matching_normalizes_and_measures():
 
 def test_covered_vertices():
     m = Matching((0, 5))
-    assert m.covered_vertices(k4()) == {0, 1, 2, 3}
+    assert covered_vertices(m, k4()) == {0, 1, 2, 3}
 
 
 def test_is_perfect_matching():
