@@ -82,7 +82,6 @@ from .oddcuts import (
     OddCutResult,
     is_r_graph,
     min_odd_cut,
-    min_odd_cut_brute,
     odd_cuts_at_least,
     tight_odd_cuts,
 )

@@ -31,8 +31,10 @@ lexicographically least maximum); nothing is enumerated.
   from the flow decision: one decision per pick both checks membership
   and names a tight cut the pick crosses more than once, if any, and
   the pick is made again.  Nothing is scanned, so it runs at every n.
-  The pick is `fractional._exact_lemma_pick`; decompositions share its
-  cutting planes (`fractional._cutting_plane`), not its decision.
+  The pick is `fractional._peel` at a step of 1/((n+1)d), where
+  w_j = nums/d: at that step the decision is the pick's check alone, as
+  no cut that is not tight can fail it.  Decompositions peel with the
+  same routine at full step.
 
 At desk scale (n <= oddcuts.SCAN_LIMIT) every step also carries an audit
 of the r-, (r+1)- and (r+2)-cut families: the crossing totals are one
@@ -52,7 +54,7 @@ from math import lcm
 
 from .bounds import product_bound, w_k_entry
 from .errors import LemmaViolationError, NotRGraphError
-from .fractional import _exact_lemma_pick, _local_failure
+from .fractional import _local_failure, _peel
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import (
@@ -247,7 +249,7 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
 
     Requires an r-graph (see require_cover_input).  Fast mode makes one
     blossom call per step, exact-lemma mode one per cutting-plane round
-    of _exact_lemma_pick; both run at every n, and SCAN_LIMIT bounds
+    of fractional._peel; both run at every n, and SCAN_LIMIT bounds
     only the audit (None above it).  Gains are exact integers, predictions
     exact rationals; the final fraction is compared against the product
     bound for (r, k).  Repetition of matchings is allowed; a step that
@@ -269,8 +271,8 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
                     f"step {step}: usage vector fails (i) or (ii) (internal bug)"
                 )
         if exact:
-            chosen = _exact_lemma_pick(g, nums, d, weights,
-                                       f"exact-lemma step {step}: usage vector")
+            chosen = _peel(g, nums, d, weights, set(), Fraction(1, (g.n + 1) * d),
+                           f"exact-lemma step {step}: usage vector")[0]
             verified = tight_honored = True
         else:
             verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None

@@ -8,11 +8,12 @@ A fractional 1-factor is an edge-weight vector w with
 
 These are exactly the points of the perfect matching polytope, so any
 member decomposes as a convex combination of perfect matchings.
-`_exact_lemma_pick` picks a perfect matching of the minimal face of a
-member with blossom calls and flow decisions; the exact-lemma cover
-takes its matchings from it.  `decompose` peels such matchings off one
-at a time, with one passing decision per peel.  Both make a tight cut
-the pick crosses more than once a cutting plane (`_cutting_plane`).
+`_peel` picks a perfect matching M of the minimal face of a member w
+with blossom calls, and the largest lam with (w - lam*chi_M)/(1 - lam)
+still a member with flow decisions; a tight cut M crosses more than
+once becomes a cutting plane.  The exact-lemma cover takes its picks
+from it at a step so small that only tight cuts can fail; `decompose`
+peels its terms off one at a time, keeping the cutting planes.
 The decomposition is exact and verified by reconstruction.
 
 `build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
@@ -165,48 +166,63 @@ class ConvexDecomposition:
         return tuple(out)
 
 
-def _exact_lemma_pick(g: Multigraph, nums: list[int], d: int, weights, what: str) -> Matching:
-    """The lexicographically least max-gain perfect matching crossing
-    every tight cut of w = nums/d once; proves w a member on the way,
-    given (i) and (ii).  The gains `weights` are all 0/1 or all 0/-1, so
-    two perfect matchings' gains differ by at most n/2; they are
-    penalised in place.  `what` names w in the internal-bug error.
+def _peel(g: Multigraph, nums: list[int], d: int, gains, penalised: set[frozenset[int]],
+          top: Fraction, what: str) -> tuple[Matching, int, int, list[int] | None]:
+    """(M, p, q, y): M is the lexicographically least maximum of `gains`
+    in the minimal face of w = nums/d, and lam = p/q the largest step up
+    to `top` with (w - lam*chi_M)/(1 - lam) a member; that member is
+    y/((q - p)*d), y = q*nums - p*d*chi_M (None when lam = 1).
 
-    With K = n+1 and y = K*nums - chi_M, every odd cut of y weighs at
-    least K*d - 1 iff w is a member and M crosses each tight cut once: a
-    tight cut weighs K*d - (crossings), any other at least
-    K*d + K - n/2.  So a side the decision returns is a tight cut M
-    crosses 3 or more times: it becomes a cutting plane, and M is picked
-    again.  A passing M is the least maximum of the face of the
-    penalised cuts, which contains the face of all tight cuts.
+    These points lie on a ray from w, so the feasible lam form an
+    interval [0, lam*], and lam* > 0 exactly when M crosses every tight
+    cut once.  One flow decision at lam = min(top, min over M of w) asks
+    whether every odd cut of y weighs at least (q - p)*d.  A side S it
+    returns has w(delta S) - 1 < lam*(|M & delta S| - 1).  A tight S is
+    crossed 3 or more times: it joins the cutting planes `penalised`,
+    its edges lose n+1 in `gains` (0/1 or 0/-1 otherwise, so no pick
+    crosses a plane thrice), and M is picked again.  A heavier S sets
+    lam to (w(delta S) - 1)/(|M & delta S| - 1), Dinkelbach's step
+    (1967).  A lighter S, a repeated plane or a zero step is an internal
+    bug; the error names w by `what`.  Whichever tight cuts are
+    penalised, a passing M is the least perfect matching of the minimal
+    face.
     """
-    big = g.n + 1
-    penalised: list[frozenset[int]] = []
+    on = None
     while True:
-        chosen = max_weight_perfect_matching(g, weights)
-        y = [big * x for x in nums]
-        for e in chosen.edge_ids:
-            y[e] -= 1
-        side = _odd_cuts_at_least(g, y, big * d - 1)
+        if on is None:  # pick M, again after each new cutting plane
+            chosen = max_weight_perfect_matching(g, gains)
+            on = frozenset(chosen.edge_ids)
+            p, q = min((nums[e] for e in on), default=d), d  # lam = p/q
+            if top.numerator * q < p * top.denominator:
+                p, q = top.numerator, top.denominator
+            if p == 0:
+                raise LemmaViolationError(f"{what} gives a zero step (internal bug)")
+        if p == q:  # w is chi_M
+            return chosen, p, q, None
+        y = [q * x - p * d if e in on else q * x for e, x in enumerate(nums)]
+        side = _odd_cuts_at_least(g, y, (q - p) * d)
         if side is None:
-            return chosen
-        _cutting_plane(g, nums, d, g.boundary(side), weights, penalised, what)
-
-
-def _cutting_plane(g: Multigraph, nums: list[int], d: int, cut: frozenset[int],
-                   weights, penalised: list[frozenset[int]], what: str) -> None:
-    """Make the tight cut `cut` of w = nums/d a cutting plane: its edges
-    lose n+1 in the gains `weights`, so the next pick crosses it once.
-    A cut that is not tight, or is penalised already, is an internal bug.
-    """
-    if cut in penalised or sum(nums[e] for e in cut) != d:
-        raise LemmaViolationError(
-            f"{what} left the polytope, or the pick crosses a penalised "
-            "tight cut more than once (internal bug)"
-        )
-    penalised.append(cut)
-    for e in cut:
-        weights[e] -= g.n + 1
+            return chosen, p, q, y
+        cut = g.boundary(side)
+        excess = sum(nums[e] for e in cut) - d
+        if excess <= 0:
+            if excess < 0 or cut in penalised:
+                raise LemmaViolationError(
+                    f"{what} left the polytope, or the pick crosses a penalised "
+                    "tight cut more than once (internal bug)"
+                )
+            penalised.add(cut)
+            for e in cut:
+                gains[e] -= g.n + 1
+            on = None
+            continue
+        step = excess, d * (len(cut & on) - 1)  # the largest lam S allows
+        if step[0] * q >= p * step[1]:
+            raise LemmaViolationError(
+                f"{what} gives a side whose step is not below {Fraction(p, q)} "
+                "(internal bug)"
+            )
+        p, q = step
 
 
 def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
@@ -214,68 +230,39 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
     perfect matchings, by peeling faces of the polytope.
 
     Membership is verified first and MembershipFailure raised otherwise.
-    w is held as numerators nums over d.  Each peel picks the least
-    maximum M of gain 0 on the support of w and -1 off it, kept by
-    cutting planes in the minimal face of w, and peels the largest lam
-    with (w - lam*chi_M)/(1 - lam) still a member.  These points lie on
-    a ray from w, so the feasible lam form an interval [0, lam*], and
-    lam* > 0 exactly when M crosses every tight cut once.  At lam = p/q
-    one flow decision asks whether every odd cut of q*nums - p*d*chi_M
-    weighs at least (q - p)*d.  It starts at lam = min over M of w, and
-    a pass peels lam.  A side S it returns has
-    w(delta S) - 1 < lam*(|M & delta S| - 1): a tight S is crossed 3 or
-    more times, so it becomes a cutting plane and M is picked again; a
-    heavier S sets lam to the bound (w(delta S) - 1)/(|M & delta S| - 1),
-    Dinkelbach's step (1967); a lighter S means w left the polytope.  So
-    one passing decision per peel both proves M in the face and fixes
-    lam*; the last term, w = chi_M, needs none.  A peel zeroes an edge
-    of M or makes tight an odd cut that M crosses more than once, so M
-    leaves the face: the terms are distinct, at most m+1 of them, sorted
-    by edge-id tuple.  Nothing is enumerated.  The result is verified by
-    reconstruction before being returned.
+    w is held as numerators nums over d.  Each peel takes M and the
+    largest lam from `_peel`, with gain 0 on the support of w and -1 off
+    it, and carries on with (w - lam*chi_M)/(1 - lam).  One passing
+    decision per peel both proves M in the minimal face and fixes lam;
+    the last term, w = chi_M, needs none.  The gains and cutting planes
+    are kept from peel to peel: a tight cut that M crosses once stays
+    tight, (1 - lam)/(1 - lam) = 1, and only the edges leaving the
+    support lose 1.  A peel zeroes an edge of M or makes tight an odd
+    cut that M crosses more than once, so M leaves the face: the terms
+    are distinct, at most m+1 of them, sorted by edge-id tuple.  Nothing
+    is enumerated.  The result is verified by reconstruction before
+    being returned.
     """
     rep = verify_membership(g, w)
     if not rep.ok:
         raise MembershipFailure(
             f"vector fails membership condition {rep.condition}", rep
         )
-    what = "decompose: the peeled vector"
     nums, d = scale_weights(w.values, g.m)
+    gains, penalised = [0 if x else -1 for x in nums], set()
     rest, terms = Fraction(1), []  # rest: the mass not yet peeled
     while True:
-        gains, penalised, on = [0 if x else -1 for x in nums], [], None
-        while True:
-            if on is None:  # pick M, again after each new cutting plane
-                chosen = max_weight_perfect_matching(g, gains)
-                on = frozenset(chosen.edge_ids)
-                p, q = min((nums[e] for e in on), default=d), d  # lam = p/q
-                if p == 0:
-                    raise LemmaViolationError(f"{what} gives a zero step (internal bug)")
-            if p == q:  # w is chi_M
-                break
-            y = [q * x - p * d if e in on else q * x for e, x in enumerate(nums)]
-            side = _odd_cuts_at_least(g, y, (q - p) * d)
-            if side is None:
-                break
-            cut = g.boundary(side)
-            excess = sum(nums[e] for e in cut) - d
-            if excess <= 0:
-                _cutting_plane(g, nums, d, cut, gains, penalised, what)
-                on = None
-                continue
-            step = excess, d * (len(cut & on) - 1)  # the largest lam S allows
-            if step[0] * q >= p * step[1]:
-                raise LemmaViolationError(
-                    f"{what} gives a side whose step is not below {Fraction(p, q)} "
-                    "(internal bug)"
-                )
-            p, q = step
+        chosen, p, q, y = _peel(g, nums, d, gains, penalised, Fraction(1),
+                                "decompose: the peeled vector")
         terms.append((chosen, rest * Fraction(p, q)))
         if p == q:
             break
         rest *= Fraction(q - p, q)
         div = gcd((q - p) * d, *y)  # y / ((q - p) * d) is the rest's vector
         nums, d = [x // div for x in y], (q - p) * d // div
+        for e in chosen.edge_ids:
+            if not nums[e]:
+                gains[e] -= 1
     terms.sort(key=lambda t: t[0].edge_ids)
     dec = ConvexDecomposition(g.m, tuple(terms))
     if dec.reconstruct() != w.values or dec.coefficients_sum() != 1:

@@ -1,30 +1,27 @@
 """Minimum odd edge cuts, tight-cut enumeration, and the r-graph test.
 
-An odd cut is boundary(S) for a vertex set S of odd cardinality.  Two
-routes find the minimum odd cut and are kept deliberately independent:
+An odd cut is boundary(S) for a vertex set S of odd cardinality.
+`odd_cuts_at_least` decides whether every odd cut reaches a bound, by
+Gomory-Hu contraction with flows stopped at the bound (1961); its
+private form also names an odd side below the bound.  `min_odd_cut`
+is the one production route to the minimum: every vertex star is an
+odd cut, so it bisects on the decision below the lightest star.  The
+greedy cover, `random_regular`, `is_r_graph` (the CLI's `check`) and
+`verify_membership` all go through the decision; exact-lemma covers
+and decompositions take the side it names as a cutting plane.  Scales
+to every size this package targets.  The tests check it against an
+exhaustive scan of every odd subset.
 
-* `odd_cuts_at_least` decides whether every odd cut reaches a bound,
-  by Gomory-Hu contraction with flows stopped at the bound (1961); its
-  private form also names an odd side below the bound.  `min_odd_cut`
-  is the production path: every vertex star is an odd cut, so it
-  bisects on the decision below the lightest star.  The greedy cover,
-  `random_regular`, `is_r_graph` (the CLI's `check`) and
-  `verify_membership` all go through the decision; exact-lemma covers
-  take the side it names as a cutting plane.  Scales to every size
-  this package targets.
-
-* `min_odd_cut_brute` scans all odd subsets directly and is the oracle
-  the production path is tested against.  Like `tight_odd_cuts` and
-  `odd_cut_crossings`, the cover's per-run audit matrix, it reads every
-  subset's exact cut value off `cut_values_by_code`, built by doubling
-  over the vertices in O(2^n), so it is limited to n <= SCAN_LIMIT.
+`tight_odd_cuts` and `odd_cut_crossings`, the cover's per-run audit
+matrix, read every subset's exact cut value off `cut_values_by_code`,
+built by doubling over the vertices in O(2^n), so they are limited to
+n <= SCAN_LIMIT.
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
-the side of the cut not containing vertex 0.  `min_odd_cut_brute` takes
-the lexicographically least sorted vertex tuple among all minimizers,
-`min_odd_cut` only among the minimizing vertex stars (else the side
-its last decision named), so their witnesses can differ.
+the side of the cut not containing vertex 0.  `min_odd_cut` takes the
+lexicographically least sorted vertex tuple among the minimizing
+vertex stars, else the side its last decision named.
 """
 
 from __future__ import annotations
@@ -137,19 +134,6 @@ def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
 def _decode(code: int) -> frozenset[int]:
     c = int(code)
     return frozenset(v + 1 for v in range(c.bit_length()) if c >> v & 1)
-
-
-def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
-    """Exhaustive minimum odd cut; the oracle path.  Requires even n >= 2."""
-    _require_even(g)
-    nums, den = scale_weights(weights, g.m)
-    codes, odd = odd_subset_codes(g.n)
-    cut = cut_values_by_code(g, nums)
-    vals = cut[odd]
-    best = vals.min()
-    hit = codes[odd][cut[odd] == best]
-    witness = min((_decode(c) for c in hit), key=_lex_key)
-    return OddCutResult(Fraction(int(best), den), witness)
 
 
 def tight_odd_cuts(g: Multigraph, weights) -> tuple[frozenset[int], ...]:

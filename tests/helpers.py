@@ -39,8 +39,11 @@ from matchcover.matching import (
 from matchcover.oddcuts import (
     OddCutResult,
     _canonical,
+    _decode,
     _lex_key,
     _require_even,
+    cut_values_by_code,
+    odd_subset_codes,
     scale_weights,
     tight_odd_cuts,
 )
@@ -512,18 +515,40 @@ def best_subset_recursive(pms, kk: int, per: int, floor: int):
     return best, best_sel
 
 
+def _pick_in_face(g: Multigraph, nums: list[int], d: int, gains) -> Matching:
+    """The least maximum of `gains` (penalised in place) crossing every
+    tight cut of w = nums/d once, by the exact-lemma decision: with
+    K = n+1, every odd cut of K*nums - chi_M weighs at least K*d - 1
+    iff M crosses each tight cut once, and a side below that bound is a
+    tight cut M crosses 3 or more times, which becomes a cutting plane."""
+    big, penalised = g.n + 1, set()
+    while True:
+        chosen = max_weight_perfect_matching(g, gains)
+        y = [big * x for x in nums]
+        for e in chosen.edge_ids:
+            y[e] -= 1
+        side = fractional._odd_cuts_at_least(g, y, big * d - 1)
+        if side is None:
+            return chosen
+        cut = g.boundary(side)
+        assert cut not in penalised and sum(nums[e] for e in cut) == d
+        penalised.add(cut)
+        for e in cut:
+            gains[e] -= big
+
+
 def decompose_pick_then_step(g: Multigraph, w) -> tuple[tuple[Matching, Fraction], ...]:
     """Oracle for `fractional.decompose`'s terms: each peel first proves
-    its pick in the minimal face with `_exact_lemma_pick`'s own decision
-    at lam = 1/((n+1)d), then takes Dinkelbach's steps from lam = min
-    over M of w, deciding again.  Both decisions go through
-    `fractional._odd_cuts_at_least`, so a test can count them.  w must
-    be a member; the terms come sorted by edge-id tuple."""
+    its pick in the minimal face with the exact-lemma decision at
+    lam = 1/((n+1)d), with fresh gains and no cutting planes, then takes
+    Dinkelbach's steps from lam = min over M of w, deciding again.  Both
+    decisions go through `fractional._odd_cuts_at_least`, so a test can
+    count them.  w must be a member; the terms come sorted by edge-id
+    tuple."""
     nums, d = scale_weights(w.values, g.m)
     rest, terms = Fraction(1), []
     while True:
-        gains = [0 if x else -1 for x in nums]
-        chosen = fractional._exact_lemma_pick(g, nums, d, gains, "oracle peel")
+        chosen = _pick_in_face(g, nums, d, [0 if x else -1 for x in nums])
         on = frozenset(chosen.edge_ids)
         p, q = min((nums[e] for e in on), default=d), d
         while p < q:
@@ -540,6 +565,20 @@ def decompose_pick_then_step(g: Multigraph, w) -> tuple[tuple[Matching, Fraction
         div = gcd((q - p) * d, *y)
         nums, d = [x // div for x in y], (q - p) * d // div
     return tuple(sorted(terms, key=lambda t: t[0].edge_ids))
+
+
+def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
+    """Exhaustive minimum odd cut over every odd subset, the oracle for
+    `oddcuts.min_odd_cut`.  Requires even n >= 2 and n <= SCAN_LIMIT."""
+    _require_even(g)
+    nums, den = scale_weights(weights, g.m)
+    codes, odd = odd_subset_codes(g.n)
+    cut = cut_values_by_code(g, nums)
+    vals = cut[odd]
+    best = vals.min()
+    hit = codes[odd][cut[odd] == best]
+    witness = min((_decode(c) for c in hit), key=_lex_key)
+    return OddCutResult(Fraction(int(best), den), witness)
 
 
 def max_weight_value(g: Multigraph, weights) -> Fraction | None:

@@ -33,9 +33,16 @@ from matchcover import (
     w_k_entry,
 )
 from matchcover.cli import main
-from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
+from matchcover.oddcuts import min_odd_cut
 
-from helpers import BOUND_TABLE, PETERSEN_M_EXACT, PETERSEN_PMS, corpus, max_weight_value
+from helpers import (
+    BOUND_TABLE,
+    PETERSEN_M_EXACT,
+    PETERSEN_PMS,
+    corpus,
+    max_weight_value,
+    min_odd_cut_brute,
+)
 
 F = Fraction
 

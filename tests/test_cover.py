@@ -170,8 +170,13 @@ def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
         state = state.extend(m)
 
 
-@pytest.mark.parametrize("sides", [[{0, 1, 2}], [{1}, {1}]], ids=["non-tight", "repeated"])
-def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides):
+# exact-lemma's step 1 decides at lam = 1/((n+1)d) = 1/33 on Petersen
+@pytest.mark.parametrize("sides,match", [
+    ([{0, 1, 2}], "step 1: usage vector gives a side whose step is not below 1/33"),
+    ([set()], "step 1: usage vector left the polytope"),  # lighter than the unit
+    ([{1}, {1}], "step 1: usage vector left the polytope"),  # a tight cut penalised already
+], ids=["non-tight", "lighter", "repeated"])
+def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides, match):
     # the r-graph check goes through is_r_graph; from exact-lemma's first
     # decision on, the decision names these sides in turn
     calls = []
@@ -183,7 +188,7 @@ def test_exact_lemma_rejects_a_bad_cutting_plane(monkeypatch, sides):
     g = petersen()
     assert len(g.boundary({0, 1, 2})) != 3  # not tight under w_1 = 1/3
     monkeypatch.setattr(fractional, "_odd_cuts_at_least", fake)  # the pick's decisions
-    with pytest.raises(LemmaViolationError, match="step 1: usage vector left the polytope"):
+    with pytest.raises(LemmaViolationError, match=match):
         greedy_cover(g, 3, 2, mode=EXACT_LEMMA)
     assert len(calls) == len(sides)
 

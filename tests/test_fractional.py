@@ -34,9 +34,15 @@ from matchcover import (
 from matchcover import fractional, lpfeas, matching
 from matchcover.lpfeas import solve_nonneg
 from matchcover.multigraph import Multigraph
-from matchcover.oddcuts import min_odd_cut, min_odd_cut_brute
+from matchcover.oddcuts import min_odd_cut
 
-from helpers import PETERSEN_PMS, corpus, decompose_pick_then_step, fast_cover_step_vectors
+from helpers import (
+    PETERSEN_PMS,
+    corpus,
+    decompose_pick_then_step,
+    fast_cover_step_vectors,
+    min_odd_cut_brute,
+)
 
 F = Fraction
 
@@ -334,6 +340,32 @@ def test_peeling_decides_less_than_pick_then_step(monkeypatch):
     outcomes.clear()
     assert decompose_pick_then_step(g, w) == terms
     assert ours < len(outcomes)
+
+
+def test_peeling_keeps_its_cutting_planes(monkeypatch):
+    # a side the decision returns is a cutting plane when M is picked again
+    # right after it; a tight cut M crosses once stays tight after the peel,
+    # so no plane is found twice in one decomposition
+    events, decide, pick = [], fractional._odd_cuts_at_least, fractional.max_weight_perfect_matching
+
+    def recorded(real, kind):
+        def call(*args):
+            out = real(*args)
+            events.append((kind, out))
+            return out
+        return call
+
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", recorded(decide, "side"))
+    monkeypatch.setattr(fractional, "max_weight_perfect_matching", recorded(pick, "pick"))
+    g = random_regular(200, 3, 0)
+    w = uniform(g, 3)
+    terms = decompose(g, w).terms
+    planes = [side for (kind, side), (after, _) in zip(events, events[1:])
+              if kind == "side" and side is not None and after == "pick"]
+    assert planes and len(set(planes)) == len(planes)
+    assert sum(kind == "side" for kind, _ in events) == 22
+    monkeypatch.undo()
+    assert decompose_pick_then_step(g, w) == terms
 
 
 # the Petersen graph's first pick is PETERSEN_PMS[0], at lam = 1/3; its

@@ -28,7 +28,6 @@ from matchcover.oddcuts import (
     cut_values_by_code,
     is_r_graph,
     min_odd_cut,
-    min_odd_cut_brute,
     odd_cut_crossings,
     odd_cuts_at_least,
     odd_subset_codes,
@@ -42,6 +41,7 @@ from helpers import (
     cut_values_oracle,
     fast_cover_step_vectors,
     fundamental_sides_networkx,
+    min_odd_cut_brute,
     min_odd_cut_networkx,
     odd_codes_oracle,
 )

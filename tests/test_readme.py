@@ -29,3 +29,12 @@ def test_quick_tour_runs_and_matches_its_comments():
     g = ns["g"]
     assert ns["m_exact"](g, 3).fraction == Fraction(4, 5)
     assert ns["excessive_index"](g).value == 5
+
+
+def test_layout_names_every_module():
+    text = README.read_text()
+    section = text[text.index("## Layout"):]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    named = set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
+    src = README.parent / "src" / "matchcover"
+    assert named == {p.name for p in src.glob("*.py")} - {"__init__.py"}
