@@ -3,7 +3,9 @@
 An odd cut is boundary(S) for a vertex set S of odd cardinality.
 `odd_cuts_at_least` decides whether every odd cut reaches a bound, by
 Gomory-Hu contraction with flows stopped at the bound (1961); its
-private form also names an odd side below the bound.  `min_odd_cut`
+private form also names an odd side below the bound.  The flows of one
+contraction block augment one residual buffer, carried from each merge
+to the next flow and reset on a split.  `min_odd_cut`
 is the one production route to the minimum: every vertex star is an
 odd cut, so it bisects on the decision below the lightest star.  The
 greedy cover, `random_regular`, `is_r_graph` (the CLI's `check`) and
@@ -242,6 +244,14 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
     cut below the bound: a violation if odd, else the block splits in
     two, each with the other side contracted.  Every cut below the bound
     is then a union of final hubs, each even as every split side was.
+
+    Each block keeps one residual buffer `res` across its flows.  When t
+    merges, the excess of the flow routed so far lies inside the hub, so
+    for the next t it is a flow of value 0 that augmenting paths extend
+    to a maximum one.  The vertices t reaches in the residual of any
+    maximum flow are the least source side of a minimum cut, so a
+    carried flow returns the side a fresh one would.  A split leaves t's
+    excess in a contracted node, so the buffer starts again from cap.
     """
     if bound <= 0:
         return None
@@ -250,6 +260,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
     blocks, fresh = [(list(range(n)), 0)], n
     while blocks:
         lab, hub = blocks.pop()
+        res = cap[:]
         groups: dict[int, list[int]] = {}
         for v in range(n):
             if lab[v] >= n:
@@ -271,7 +282,7 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
             t = heap[0][1] if heap else next(v for v in range(n) if lab[v] == v != hub)
             side = None
             if conn[t] < bound:
-                side = _sink_side(head, cap, out, lab, groups, hub, t, bound)
+                side = _sink_side(head, res, out, lab, groups, hub, t, bound)
             if side is None:
                 lab[t] = hub
                 absorb(t)
@@ -285,18 +296,20 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
                 t_lab[v], lab[v] = lab[v], fresh
             groups[fresh] = side
             fresh, left = fresh + 2, left - own
+            res = cap[:]
             if own > 1:
                 blocks.append((t_lab, t))
     return None
 
 
-def _sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
+def _sink_side(head, res, out, lab, groups, hub: int, t: int, bound: int):
     """None if an Edmonds-Karp flow from t into the vertices labelled hub
     reaches bound, else the vertices t reaches in the residual graph of a
-    maximum flow: the same for every maximum flow.  A path enters a
-    contracted node anywhere and leaves it from any vertex."""
+    maximum flow: the same for every maximum flow.  Augments the residual
+    capacities res in place, from whatever flow they hold, which must
+    have no excess outside the hub.  A path enters a contracted node
+    anywhere and leaves it from any vertex."""
     n = len(lab)
-    res = cap[:]
     flow = 0
     for a in out[t]:
         if lab[head[a]] == hub:
@@ -307,30 +320,34 @@ def _sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
         pred[t] = -2
         for x in queue:
             for a in out[x]:
-                y = head[a]
-                if res[a] and pred[y] == -1:
-                    pred[y], node = a, lab[y]
-                    if node == hub:
-                        end = y
-                        break
-                    queue.append(y)
-                    if node >= n:
-                        for z in groups[node]:
-                            if pred[z] == -1:
-                                pred[z] = a  # the path enters z's node by arc a
-                                queue.append(z)
+                if res[a]:
+                    y = head[a]
+                    if pred[y] == -1:
+                        pred[y], node = a, lab[y]
+                        if node == hub:
+                            end = y
+                            break
+                        queue.append(y)
+                        if node >= n:
+                            for z in groups[node]:
+                                if pred[z] == -1:
+                                    pred[z] = a  # the path enters z's node by arc a
+                                    queue.append(z)
             if end >= 0:
                 break
         else:
             return queue
-        path = []
+        f, y = bound - flow, end
+        while y != t:
+            a = pred[y]
+            if res[a] < f:
+                f = res[a]
+            y = head[a ^ 1]
         while end != t:
-            path.append(pred[end])
-            end = head[pred[end] ^ 1]
-        f = min(res[a] for a in path)
-        for a in path:
+            a = pred[end]
             res[a] -= f
             res[a ^ 1] += f
+            end = head[a ^ 1]
         flow += f
     return None
 

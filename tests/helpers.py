@@ -7,6 +7,7 @@ Seeds are frozen so every run sees the same graphs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -579,6 +580,124 @@ def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
     hit = codes[odd][cut[odd] == best]
     witness = min((_decode(c) for c in hit), key=_lex_key)
     return OddCutResult(Fraction(int(best), den), witness)
+
+
+def odd_cuts_at_least_fresh_flows(g: Multigraph, nums: list[int], bound: int) -> frozenset[int] | None:
+    """Oracle for `oddcuts._odd_cuts_at_least`, with every flow started
+    from the bare capacities.  None if every odd cut weighs at least
+    bound, else an odd vertex set whose boundary weighs less: Gomory-Hu's
+    contraction method (1961) with flows stopped at bound.
+
+    In a block lab[v] is v for an own vertex, the hub for one merged into
+    it, and >= n in a contracted node.  The hub takes its heaviest own
+    neighbour t.  If a flow from t reaches the bound, no cut below it
+    separates them: t merges into the hub.  Else t's residual side is a
+    cut below the bound: a violation if odd, else the block splits in
+    two, each with the other side contracted.  Every cut below the bound
+    is then a union of final hubs, each even as every split side was.
+    """
+    if bound <= 0:
+        return None
+    n = g.n
+    head, cap, out = _fresh_flow_arcs(g, nums)
+    blocks, fresh = [(list(range(n)), 0)], n
+    while blocks:
+        lab, hub = blocks.pop()
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            if lab[v] >= n:
+                groups.setdefault(lab[v], []).append(v)
+        conn, heap = [0] * n, []  # weight from the hub to each own vertex
+
+        def absorb(x):
+            for a in out[x]:
+                y = head[a]
+                if lab[y] == y != hub:
+                    conn[y] += cap[a]
+                    heapq.heappush(heap, (-conn[y], y))
+
+        absorb(hub)
+        left = sum(lab[v] == v for v in range(n)) - 1
+        while left:
+            while heap and (lab[heap[0][1]] != heap[0][1] or -heap[0][0] != conn[heap[0][1]]):
+                heapq.heappop(heap)
+            t = heap[0][1] if heap else next(v for v in range(n) if lab[v] == v != hub)
+            side = None
+            if conn[t] < bound:
+                side = _fresh_sink_side(head, cap, out, lab, groups, hub, t, bound)
+            if side is None:
+                lab[t] = hub
+                absorb(t)
+                left -= 1
+                continue
+            if len(side) % 2:
+                return frozenset(side)
+            own = sum(lab[v] == v for v in side)
+            t_lab = [fresh + 1] * n
+            for v in side:
+                t_lab[v], lab[v] = lab[v], fresh
+            groups[fresh] = side
+            fresh, left = fresh + 2, left - own
+            if own > 1:
+                blocks.append((t_lab, t))
+    return None
+
+
+def _fresh_flow_arcs(g: Multigraph, nums: list[int]):
+    """Arcs (head, cap, out) of g's positive edges: arc a and its reverse
+    a ^ 1 carry one edge each way, parallel edges in pairs of their own."""
+    pos = [(uv, x) for uv, x in zip(g.edges, nums) if x > 0]
+    head = [x for (a, b), _ in pos for x in (b, a)]
+    cap = [x for _, x in pos for _ in (0, 1)]
+    out = [[] for _ in range(g.n)]
+    for arc in range(len(head)):
+        out[head[arc ^ 1]].append(arc)
+    return head, cap, out
+
+
+def _fresh_sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
+    """None if an Edmonds-Karp flow from t into the vertices labelled hub
+    reaches bound, else the vertices t reaches in the residual graph of a
+    maximum flow: the same for every maximum flow.  A path enters a
+    contracted node anywhere and leaves it from any vertex."""
+    n = len(lab)
+    res = cap[:]
+    flow = 0
+    for a in out[t]:
+        if lab[head[a]] == hub:
+            flow += res[a]
+            res[a ^ 1], res[a] = res[a ^ 1] + res[a], 0
+    while flow < bound:
+        pred, queue, end = [-1] * n, [t], -1
+        pred[t] = -2
+        for x in queue:
+            for a in out[x]:
+                y = head[a]
+                if res[a] and pred[y] == -1:
+                    pred[y], node = a, lab[y]
+                    if node == hub:
+                        end = y
+                        break
+                    queue.append(y)
+                    if node >= n:
+                        for z in groups[node]:
+                            if pred[z] == -1:
+                                pred[z] = a  # the path enters z's node by arc a
+                                queue.append(z)
+            if end >= 0:
+                break
+        else:
+            return queue
+        path = []
+        while end != t:
+            path.append(pred[end])
+            end = head[pred[end] ^ 1]
+        f = min(res[a] for a in path)
+        for a in path:
+            res[a] -= f
+            res[a ^ 1] += f
+        flow += f
+    return None
 
 
 def max_weight_value(g: Multigraph, weights) -> Fraction | None:

@@ -1,5 +1,6 @@
 """Minimum odd cuts: production route vs. exhaustive route, and the r-graph test."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -14,6 +15,7 @@ from matchcover import (
     Multigraph,
     NotRegularError,
     bridge_pair,
+    decompose,
     dipole,
     k33,
     petersen,
@@ -21,7 +23,7 @@ from matchcover import (
     random_regular,
     uniform,
 )
-from matchcover import generators, oddcuts
+from matchcover import fractional, generators, oddcuts
 from matchcover.oddcuts import (
     _decode,
     _odd_cuts_at_least,
@@ -44,6 +46,7 @@ from helpers import (
     min_odd_cut_brute,
     min_odd_cut_networkx,
     odd_codes_oracle,
+    odd_cuts_at_least_fresh_flows,
 )
 
 
@@ -237,6 +240,79 @@ def test_odd_cuts_at_least_on_fast_cover_steps():
             nums, den = scale_weights(w.values, g.m)
             outcomes.add((member, cut_below(g, nums, den)))
     assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+# The decision carries each block's residual flow from one merge to the
+# next and starts afresh after a split; the oracle starts every flow from
+# the bare capacities.  Both must name the same side, or both None.
+@threshold_cases
+def test_odd_cuts_at_least_matches_the_fresh_flow_oracle(gw, offset):
+    g, w = gw
+    bound = min_odd_cut_brute(g, w).value + offset * Fraction(1, 1000)
+    den = lcm(bound.denominator, *(x.denominator for x in w))
+    nums, b = [int(x * den) for x in w], int(bound * den)
+    assert _odd_cuts_at_least(g, nums, b) == odd_cuts_at_least_fresh_flows(g, nums, b)
+
+
+def test_fresh_flow_oracle_on_fast_cover_steps():
+    for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
+        g = random_regular(n, r, seed)
+        for w in fast_cover_step_vectors(g, r, 8):
+            nums, den = scale_weights(w.values, g.m)
+            assert _odd_cuts_at_least(g, nums, den) == odd_cuts_at_least_fresh_flows(g, nums, den)
+
+
+def test_fresh_flow_oracle_on_peel_decisions(monkeypatch):
+    decisions, real = [], fractional._odd_cuts_at_least
+
+    def recorded(g, nums, bound):
+        side = real(g, nums, bound)
+        decisions.append((g, list(nums), bound, side))
+        return side
+
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", recorded)
+    for n, seed in itertools.product((40, 64), range(3)):
+        g = random_regular(n, 3, seed)
+        decompose(g, uniform(g, 3))
+    assert any(side is None for *_, side in decisions)
+    assert any(side is not None for *_, side in decisions)
+    for g, nums, bound, side in decisions:
+        assert side == odd_cuts_at_least_fresh_flows(g, nums, bound)
+
+
+def test_carried_flow_then_reset_on_big_capacities(monkeypatch):
+    """Two 4-cycles of doubled heavy edges joined by two light links, all
+    weights times 2^70 + 1.  At the minimum the hub's block carries two
+    flows that merge before a flow that splits off the other cycle; just
+    above it a flow splits first and the block's next flow names the
+    violation from a fresh buffer."""
+    big = 2**70 + 1
+    edges = [(b + i, b + (i + 1) % 4) for b in (0, 4) for i in range(4) for _ in range(2)]
+    g = Multigraph(8, tuple(edges + [(1, 4), (2, 5)]))
+    w = [2 * big] * 16 + [2 * big, big]
+    best = min_odd_cut_brute(g, w).value
+    assert best == 8 * big
+    flows, real = [], oddcuts._sink_side
+
+    def recorded(*args):
+        side = real(*args)
+        flows.append(None if side is None else frozenset(side))
+        return side
+
+    monkeypatch.setattr(oddcuts, "_sink_side", recorded)
+    for offset, trace in [
+        (-1, [None, None, frozenset({4, 5, 6, 7}), None, None]),
+        (0, [None, None, frozenset({4, 5, 6, 7}), None, None]),
+        (1, [frozenset({1, 2, 4, 5, 6, 7}), frozenset({3})]),
+    ]:
+        bound = int(best) + offset
+        flows.clear()
+        side = _odd_cuts_at_least(g, w, bound)
+        assert flows == trace
+        assert side == odd_cuts_at_least_fresh_flows(g, w, bound)
+        assert (side is None) is (best >= bound)
+        if side is not None:
+            assert len(side) % 2 == 1 and boundary_value(g, w, side) < bound
 
 
 def test_odd_cuts_at_least_validation():
