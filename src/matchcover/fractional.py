@@ -13,14 +13,16 @@ with blossom calls, and the largest lam with (w - lam*chi_M)/(1 - lam)
 still a member with flow decisions; a tight cut M crosses more than
 once becomes a cutting plane.  The exact-lemma cover takes its picks
 from it at a step so small that only tight cuts can fail; `decompose`
-peels its terms off one at a time, keeping the cutting planes.
-The decomposition is exact and verified by reconstruction.
+peels its terms off one at a time, keeping the cutting planes, and its
+first passing peel is the membership proof.  The decomposition is exact
+and verified by reconstruction on integer numerators.
 
 `build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
 weight, over the edges.
 
 `verify_membership` reports the minimum odd cut, found by bisection on
-the flow decision; the greedy cover only decides.
+the flow decision; the greedy cover only decides, and `decompose` asks
+for the report only to say why w is no member.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .bounds import w_k_entry
-from .errors import LemmaViolationError, MembershipFailure, NotRegularError
+from .errors import (
+    LemmaViolationError,
+    MembershipFailure,
+    NoPerfectMatchingError,
+    NotRegularError,
+)
 from .matching import Matching, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import OddCutResult, _min_odd_cut, _odd_cuts_at_least, scale_weights
@@ -225,11 +232,20 @@ def _peel(g: Multigraph, nums: list[int], d: int, gains, penalised: set[frozense
         p, q = step
 
 
+def _require_member(g: Multigraph, w: FractionalOneFactor) -> None:
+    """Raise MembershipFailure with w's report unless w is a member
+    (`verify_membership` raises on a length mismatch)."""
+    rep = verify_membership(g, w)
+    if not rep.ok:
+        raise MembershipFailure(
+            f"vector fails membership condition {rep.condition}", rep
+        )
+
+
 def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
     """Write a fractional 1-factor as an exact convex combination of
     perfect matchings, by peeling faces of the polytope.
 
-    Membership is verified first and MembershipFailure raised otherwise.
     w is held as numerators nums over d.  Each peel takes M and the
     largest lam from `_peel`, with gain 0 on the support of w and -1 off
     it, and carries on with (w - lam*chi_M)/(1 - lam).  One passing
@@ -240,20 +256,32 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
     support lose 1.  A peel zeroes an edge of M or makes tight an odd
     cut that M crosses more than once, so M leaves the face: the terms
     are distinct, at most m+1 of them, sorted by edge-id tuple.  Nothing
-    is enumerated.  The result is verified by reconstruction before
-    being returned.
+    is enumerated.  The result is verified by reconstruction, on integer
+    numerators over one common denominator, before being returned.
+
+    The first passing peel is the membership proof: w = lam*chi_M +
+    (1 - lam)*y with y a member, so w is one.  `verify_membership` runs
+    only on a length mismatch, a failure of (i) or (ii), or a first peel
+    that raises (as it does for odd n), and MembershipFailure carries
+    its report; if it finds w a member, the peel's error is an internal
+    bug and is raised.
     """
-    rep = verify_membership(g, w)
-    if not rep.ok:
-        raise MembershipFailure(
-            f"vector fails membership condition {rep.condition}", rep
-        )
+    if len(w) != g.m:
+        _require_member(g, w)
     nums, d = scale_weights(w.values, g.m)
+    if _local_failure(g, nums, d) is not None:
+        _require_member(g, w)
+    w_nums, w_den = nums, d
     gains, penalised = [0 if x else -1 for x in nums], set()
     rest, terms = Fraction(1), []  # rest: the mass not yet peeled
     while True:
-        chosen, p, q, y = _peel(g, nums, d, gains, penalised, Fraction(1),
-                                "decompose: the peeled vector")
+        try:
+            chosen, p, q, y = _peel(g, nums, d, gains, penalised, Fraction(1),
+                                    "decompose: the peeled vector")
+        except (LemmaViolationError, NoPerfectMatchingError):
+            if not terms:  # w may be no member: report why
+                _require_member(g, w)
+            raise
         terms.append((chosen, rest * Fraction(p, q)))
         if p == q:
             break
@@ -264,10 +292,16 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
             if not nums[e]:
                 gains[e] -= 1
     terms.sort(key=lambda t: t[0].edge_ids)
-    dec = ConvexDecomposition(g.m, tuple(terms))
-    if dec.reconstruct() != w.values or dec.coefficients_sum() != 1:
+    den = lcm(w_den, *(c.denominator for _, c in terms))
+    out, total = [0] * g.m, 0
+    for mtch, c in terms:
+        k = c.numerator * (den // c.denominator)
+        total += k
+        for e in mtch.edge_ids:
+            out[e] += k
+    if total != den or out != [x * (den // w_den) for x in w_nums]:
         raise AssertionError("decomposition failed exact reconstruction; internal bug")
-    return dec
+    return ConvexDecomposition(g.m, tuple(terms))
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,8 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
 
     One exact blossom call on W_e = w_e*2^m + 2^(m-1-e), where w is the
     weight vector shifted to be nonnegative (every perfect matching has
-    n/2 edges, so the shift keeps the order) and scaled to integers.
+    n/2 edges, so the shift keeps the order) and scaled to integers; a
+    vector of ints only is shifted and goes straight to the blossom.
     The perturbations of a matching sum to less than 2^m, so they never
     reorder matchings of different weight; among equal weights they
     favour the largest edge-indicator vector read from edge 0, which for
@@ -152,11 +153,16 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
     """
     if g.n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    fr = [_exact(w) for w in weights]
-    low = min(fr, default=0)
-    nums, _ = scale_weights([f - low for f in fr], g.m)
+    m, ws = g.m, list(weights)
+    if len(ws) == m and all(type(w) is int for w in ws):
+        low = min(ws, default=0)
+        nums = [w - low for w in ws]
+    else:
+        fr = [_exact(w) for w in ws]
+        low = min(fr, default=0)
+        nums, _ = scale_weights([f - low for f in fr], m)
     ends = [x for uv in g.edges for x in uv]
-    mate = _blossom(g.n, ends, [(x << g.m) + (1 << (g.m - 1 - e)) for e, x in enumerate(nums)])
+    mate = _blossom(g.n, ends, [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(nums)])
     if mate is None:
         raise NoPerfectMatchingError("graph has no perfect matching")
     return Matching(tuple(mate[v] >> 1 for v in range(g.n) if v < ends[mate[v]]))
@@ -177,7 +183,9 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     least-slack edge to another S-blossom in one pass over its leaves'
     edges, O(n^2 m) in the worst case and O(n^3) on r-graphs of fixed r.
     Weights enter as 4w and vertex duals start even, so slacks between
-    two S-vertices stay even and every dual stays an integer.
+    two S-vertices stay even and every dual stays an integer.  A greedy
+    start on tight edges that is already perfect is returned at once:
+    its duals are feasible and every matched edge is tight.
     Blossoms are n..2n-1; nested blossoms are expanded and augmented
     through explicit work lists, so nesting depth never meets the
     recursion limit.
@@ -199,6 +207,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                 if mate[ends[p]] == -1 and w4[p >> 1] - dual[ends[p]] == dv:
                     mate[v], mate[ends[p]] = p, p ^ 1
                     break
+    if -1 not in mate:
+        return mate
 
     inblossom = list(range(n))  # top-level blossom of each vertex
     parent = [-1] * (2 * n)

@@ -10,7 +10,9 @@ is the one production route to the minimum: every vertex star is an
 odd cut, so it bisects on the decision below the lightest star.  The
 greedy cover, `random_regular`, `is_r_graph` (the CLI's `check`) and
 `verify_membership` all go through the decision; exact-lemma covers
-and decompositions take the side it names as a cutting plane.  Scales
+and decompositions take the side it names as a cutting plane, and a
+decomposition's first passing decision proves membership, so it calls
+`verify_membership` only for a non-member's report.  Scales
 to every size this package targets.  The tests check it against an
 exhaustive scan of every odd subset.
 

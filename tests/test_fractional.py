@@ -31,7 +31,7 @@ from matchcover import (
     verify_membership,
     w_k_entry,
 )
-from matchcover import fractional, lpfeas, matching
+from matchcover import fractional, lpfeas, matching, oddcuts
 from matchcover.lpfeas import solve_nonneg
 from matchcover.multigraph import Multigraph
 from matchcover.oddcuts import min_odd_cut
@@ -401,6 +401,80 @@ def test_decompose_rejects_a_zero_step(monkeypatch):
                         lambda g, gains: Matching(PETERSEN_PMS[1]))
     with pytest.raises(LemmaViolationError, match="decompose: the peeled vector gives a zero step"):
         decompose(g, w)
+
+
+def _out_of_range_vector() -> FractionalOneFactor:
+    # FractionalOneFactor refuses entries above 1; only a corrupted one has them
+    w = uniform(petersen(), 3)
+    object.__setattr__(w, "values", (F(4, 3),) + w.values[1:])
+    return w
+
+
+TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
+TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+# (id, graph, vector, r of the uniform vector or None, failed condition)
+NON_MEMBERS = [
+    ("one_cut", bridge_pair(), uniform(bridge_pair(), 3), 3, "odd_cut"),  # has PMs
+    ("two_triangles", TWO_TRIANGLES, uniform(TWO_TRIANGLES, 2), 2, "odd_cut"),  # no PM
+    ("odd_n", TRIANGLE, uniform(TRIANGLE, 2), 2, "odd_cut"),
+    ("edge_range", petersen(), _out_of_range_vector(), None, "edge_range"),
+    ("vertex_sum", petersen(), FractionalOneFactor((F(1, 2),) + (F(1, 3),) * 14), None,
+     "vertex_sum"),
+]
+
+
+@pytest.mark.parametrize("name,g,w,r,condition", NON_MEMBERS, ids=[c[0] for c in NON_MEMBERS])
+def test_non_members_fail_with_the_membership_report(name, g, w, r, condition):
+    # the first peel proves membership; a non-member is reported exactly as
+    # verify_membership reports it.  multicoloring builds the uniform vector
+    # of a regular graph, so it meets only the (iii) failures
+    rep = verify_membership(g, w)
+    assert not rep.ok and rep.condition == condition
+    with pytest.raises(MembershipFailure, match=f"condition {rep.condition}") as exc:
+        decompose(g, w)
+    assert exc.value.report == rep
+    if r is not None:
+        with pytest.raises(MembershipFailure) as exc:
+            multicoloring(g, r)
+        assert exc.value.report == rep
+
+
+@pytest.mark.parametrize("case", PEEL_MEMBERS, ids=[c[0] for c in PEEL_MEMBERS])
+def test_decompose_makes_no_decision_outside_its_peels(monkeypatch, case):
+    # one shared record of every odd-cut decision, through oddcuts (where
+    # verify_membership and min_odd_cut decide) and through the peel
+    _, g, w = case
+    calls = []
+
+    def counted(origin):
+        real = oddcuts._odd_cuts_at_least
+
+        def decide(g, nums, bound):
+            calls.append(origin)
+            return real(g, nums, bound)
+        return decide
+
+    monkeypatch.setattr(fractional, "_odd_cuts_at_least", counted("peel"))
+    monkeypatch.setattr(oddcuts, "_odd_cuts_at_least", counted("oddcuts"))
+    terms = decompose(g, w).terms
+    assert len(calls) == calls.count("peel") >= len(terms) - 1
+
+
+def test_decompose_checks_its_reconstruction(monkeypatch):
+    # a first step one unit too large still yields coefficients summing to 1,
+    # but not w: the integer check over one denominator must refuse it
+    real, calls = fractional._peel, []
+
+    def wrong_first_step(*args):
+        chosen, p, q, y = real(*args)
+        calls.append((p, q))
+        return (chosen, p + 1, q, y) if len(calls) == 1 else (chosen, p, q, y)
+
+    g = petersen()
+    monkeypatch.setattr(fractional, "_peel", wrong_first_step)
+    with pytest.raises(AssertionError, match="decomposition failed exact reconstruction"):
+        decompose(g, uniform(g, 3))
+    assert len(calls) > 1  # the peel went on past the wrong step
 
 
 def test_decompose_and_multicoloring_neither_enumerate_nor_solve(monkeypatch):

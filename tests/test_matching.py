@@ -39,6 +39,7 @@ from helpers import (
     max_weight_value,
     perfect_matchings_brute,
 )
+from test_exact import SUBSET_CASES
 
 TWO_TRIANGLES = Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
 
@@ -367,6 +368,58 @@ def test_max_weight_matches_the_networkx_oracle_on_dense_01_graphs():
         w = [rng.randint(0, 1) for _ in edges]
         got = _outcome(max_weight_perfect_matching, g, w)
         assert got == _outcome(max_weight_perfect_matching_networkx, g, w)
+
+
+def _greedy_start_is_perfect(g: Multigraph, ints: list[int]) -> bool:
+    """Whether the blossom's start already matches every vertex: on the
+    id-perturbed weights (doubled), each dual starts at the heaviest
+    incident weight, then each vertex in turn lowers its dual until an
+    edge is tight and takes its first tight edge to an unmatched vertex."""
+    m, low = g.m, min(ints, default=0)
+    w2 = [((x - low) << (m + 1)) + (2 << (m - 1 - e)) for e, x in enumerate(ints)]
+    inc = [[(e, u + v - x) for e, (u, v) in enumerate(g.edges) if x in (u, v)]
+           for x in range(g.n)]
+    if not all(inc):
+        return False
+    dual = [max(w2[e] for e, _ in a) >> 1 for a in inc]
+    mate = [None] * g.n
+    for x in range(g.n):
+        if mate[x] is None:
+            dual[x] = max(w2[e] - dual[u] for e, u in inc[x])
+            tight = [u for e, u in inc[x] if mate[u] is None and w2[e] - dual[u] == dual[x]]
+            if tight:
+                mate[x], mate[tight[0]] = tight[0], x
+    return None not in mate
+
+
+def _same_matching_for_ints_and_fractions(g: Multigraph, ints: list[int]) -> bool:
+    # the int path, the same values as Fractions and a third of them all go
+    # to the same blossom weights; the networkx oracle solves them apart
+    got = _outcome(max_weight_perfect_matching, g, ints)
+    assert got == _outcome(max_weight_perfect_matching, g, [Fraction(x) for x in ints])
+    assert got == _outcome(max_weight_perfect_matching, g, [Fraction(x, 3) for x in ints])
+    assert got == _outcome(max_weight_perfect_matching_networkx, g, ints)
+    return _greedy_start_is_perfect(g, ints)
+
+
+def test_int_weights_match_fraction_weights_on_the_subset_cases():
+    rng = random.Random(25)
+    starts = set()
+    for _, g, _ in SUBSET_CASES:
+        for ints in ([0] * g.m, [rng.randint(0, 1) for _ in range(g.m)],
+                     [rng.randint(-4, 4) for _ in range(g.m)],
+                     [rng.randint(-(g.n + 2), 0) for _ in range(g.m)]):
+            starts.add(_same_matching_for_ints_and_fractions(g, ints))
+    assert starts == {True, False}  # some greedy starts are perfect already
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(blossom_inputs())
+@example((k4(), [0] * 6))  # a perfect greedy start
+@example((TWO_TRIANGLES, [-1] * 6))
+def test_int_weights_match_fraction_weights(gw):
+    g, w = gw
+    _same_matching_for_ints_and_fractions(g, [int(Fraction(x) * 420) for x in w])
 
 
 def test_importing_matchcover_leaves_networkx_unloaded():
