@@ -148,67 +148,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_graph_opts(sp):
-        sp.add_argument("--gen", metavar="NAME[:P1,P2]",
-                        help=f"generator spec; one of: {', '.join(generator_names())}")
-        sp.add_argument("--input", metavar="FILE", help="edge-list file")
-        sp.add_argument("--corpus", metavar="DIR",
-                        help="run over every edge-list file in DIR")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for random generators")
-
-    def add_pm_cap(sp):
-        sp.add_argument("--pm-cap", type=_cap, default=PM_CAP,
+    # Option groups shared by subcommands, each declared once; a subcommand
+    # lists its groups in the order its help shows them.
+    r, k, mode, graph, pm_cap, exact = (argparse.ArgumentParser(add_help=False)
+                                        for _ in range(6))
+    r.add_argument("-r", type=int, required=True)
+    k.add_argument("-k", type=int, required=True)
+    mode.add_argument("--mode", choices=MODES, default=FAST)
+    graph.add_argument("--gen", metavar="NAME[:P1,P2]",
+                       help=f"generator spec; one of: {', '.join(generator_names())}")
+    graph.add_argument("--input", metavar="FILE", help="edge-list file")
+    graph.add_argument("--corpus", metavar="DIR", help="run over every edge-list file in DIR")
+    graph.add_argument("--seed", type=int, default=None, help="seed for random generators")
+    pm_cap.add_argument("--pm-cap", type=_cap, default=PM_CAP,
                         help=f"max perfect matchings to enumerate (default {PM_CAP})")
+    exact.add_argument("-k", type=int, default=None)
+    exact.add_argument("--excessive", action="store_true",
+                       help="also compute the minimum full-cover size")
 
     sp = sub.add_parser("gen", help="emit a generated graph as edge-list text")
     sp.add_argument("--gen", metavar="NAME[:P1,P2]", required=True)
     sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("check", help="test the odd-cut condition (is this an r-graph)")
-    sp.add_argument("-r", type=int, required=True)
-    add_graph_opts(sp)
-
-    sp = sub.add_parser("cover", help="greedy k-matching cover with certificates")
-    sp.add_argument("-r", type=int, required=True)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--mode", choices=MODES, default=FAST)
-    add_graph_opts(sp)
-
-    sp = sub.add_parser("exact", help="exact best k-cover fraction / excessive index")
-    sp.add_argument("-k", type=int, default=None)
-    sp.add_argument("--excessive", action="store_true",
-                    help="also compute the minimum full-cover size")
-    add_graph_opts(sp)
-    add_pm_cap(sp)
-
+    sub.add_parser("check", help="test the odd-cut condition (is this an r-graph)",
+                   parents=[r, graph])
+    sub.add_parser("cover", help="greedy k-matching cover with certificates",
+                   parents=[r, k, mode, graph])
+    sub.add_parser("exact", help="exact best k-cover fraction / excessive index",
+                   parents=[exact, graph, pm_cap])
     sp = sub.add_parser("bounds", help="coverage-fraction lower bounds")
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("--table", action="store_true",
                     help=f"print the full bound table (r={','.join(map(str, TABLE_RS))}; "
                     f"k={TABLE_KS[0]}..{TABLE_KS[-1]})")
-
-    sp = sub.add_parser("decompose", help="convex decomposition of the uniform vector")
-    sp.add_argument("-r", type=int, required=True)
-    add_graph_opts(sp)
-
-    sp = sub.add_parser("multicolor", help="p-fold cover by r*p perfect matchings")
-    sp.add_argument("-r", type=int, required=True)
-    add_graph_opts(sp)
-
-    sp = sub.add_parser("bf-search", help="exhaustive search for a double cover "
-                        "by 2r perfect matchings")
-    sp.add_argument("-r", type=int, required=True)
-    add_graph_opts(sp)
-    add_pm_cap(sp)
-
-    sp = sub.add_parser("audit", help="run a cover and audit the small odd-cut families")
-    sp.add_argument("-r", type=int, required=True)
-    sp.add_argument("-k", type=int, required=True)
-    sp.add_argument("--mode", choices=MODES, default=FAST)
-    add_graph_opts(sp)
-
+    sub.add_parser("decompose", help="convex decomposition of the uniform vector",
+                   parents=[r, graph])
+    sub.add_parser("multicolor", help="p-fold cover by r*p perfect matchings",
+                   parents=[r, graph])
+    sub.add_parser("bf-search", help="exhaustive search for a double cover "
+                   "by 2r perfect matchings", parents=[r, graph, pm_cap])
+    sub.add_parser("audit", help="run a cover and audit the small odd-cut families",
+                   parents=[r, k, mode, graph])
     return p
 
 

@@ -86,7 +86,7 @@ def uniform(g: Multigraph, r: int) -> FractionalOneFactor:
         raise ValueError("r must be positive")
     if not g.is_regular(r):
         raise NotRegularError(f"graph is not {r}-regular")
-    return FractionalOneFactor(tuple(Fraction(1, r) for _ in range(g.m)))
+    return FractionalOneFactor((Fraction(1, r),) * g.m)
 
 
 def build_w_k(g: Multigraph, r: int, k: int, counts) -> FractionalOneFactor:

@@ -63,9 +63,9 @@ def scale_weights(weights, m: int) -> tuple[list[int], int]:
     if len(fr) != m:
         raise ValueError(f"expected {m} weights, got {len(fr)}")
     for i, f in enumerate(fr):
-        if f < 0:
+        if f.numerator < 0:
             raise ValueError(f"weight of edge {i} is negative: {f}")
-    den = lcm(*(f.denominator for f in fr)) if fr else 1
+    den = lcm(*{f.denominator for f in fr})
     return [f.numerator * (den // f.denominator) for f in fr], den
 
 

@@ -569,6 +569,78 @@ def test_removed_cap_flags_are_unknown_arguments(capsysbinary):
         assert f"unrecognized arguments: {' '.join(flag)}".encode() in err
 
 
+# Every action of the parser, in order: option strings, dest, required,
+# default, type name, choices, metavar, help.
+_HELP = (("-h", "--help"), "help", False, "==SUPPRESS==", None, None, None,
+         "show this help message and exit")
+_R = (("-r",), "r", True, None, "int", None, None, None)
+_K = (("-k",), "k", True, None, "int", None, None, None)
+_MODE = (("--mode",), "mode", False, "fast", None, ("fast", "exact-lemma"), None, None)
+_GRAPH = (
+    (("--gen",), "gen", False, None, None, None, "NAME[:P1,P2]",
+     "generator spec; one of: bridge_pair, dipole, k33, k4, petersen, prism, random_regular"),
+    (("--input",), "input", False, None, None, None, "FILE", "edge-list file"),
+    (("--corpus",), "corpus", False, None, None, None, "DIR",
+     "run over every edge-list file in DIR"),
+    (("--seed",), "seed", False, None, "int", None, None, "seed for random generators"),
+)
+_PM_CAP = (("--pm-cap",), "pm_cap", False, 100000, "_cap", None, None,
+           "max perfect matchings to enumerate (default 100000)")
+PARSER_SPEC = {
+    None: [
+        _HELP,
+        (("--format",), "format", False, "text", None, ("text", "json"), None, None),
+        ((), "command", True, None, None,
+         ("gen", "check", "cover", "exact", "bounds", "decompose", "multicolor",
+          "bf-search", "audit"), None, None),
+    ],
+    "gen": [
+        _HELP,
+        (("--gen",), "gen", True, None, None, None, "NAME[:P1,P2]", None),
+        (("--seed",), "seed", False, None, "int", None, None, None),
+    ],
+    "check": [_HELP, _R, *_GRAPH],
+    "cover": [_HELP, _R, _K, _MODE, *_GRAPH],
+    "exact": [
+        _HELP,
+        (("-k",), "k", False, None, "int", None, None, None),
+        (("--excessive",), "excessive", False, False, None, None, None,
+         "also compute the minimum full-cover size"),
+        *_GRAPH,
+        _PM_CAP,
+    ],
+    "bounds": [
+        _HELP,
+        (("-r",), "r", False, None, "int", None, None, None),
+        (("-k",), "k", False, None, "int", None, None, None),
+        (("--table",), "table", False, False, None, None, None,
+         "print the full bound table (r=3,4,5; k=2..9)"),
+    ],
+    "decompose": [_HELP, _R, *_GRAPH],
+    "multicolor": [_HELP, _R, *_GRAPH],
+    "bf-search": [_HELP, _R, *_GRAPH, _PM_CAP],
+    "audit": [_HELP, _R, _K, _MODE, *_GRAPH],
+}
+
+
+def _action_spec(parser):
+    return [
+        (tuple(a.option_strings), a.dest, a.required, a.default,
+         getattr(a.type, "__name__", None),
+         tuple(a.choices) if a.choices is not None else None, a.metavar, a.help)
+        for a in parser._actions
+    ]
+
+
+def test_parser_matches_its_spec():
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(PARSER_SPEC)[1:]
+    assert _action_spec(parser) == PARSER_SPEC[None]
+    for name, sub in subparsers.items():
+        assert _action_spec(sub) == PARSER_SPEC[name], name
+
+
 
 @st.composite
 def fuzzed_runs(draw):

@@ -214,6 +214,16 @@ def test_membership_length_mismatch():
         verify_membership(petersen(), FractionalOneFactor((F(1, 3),)))
 
 
+def test_decompose_length_mismatch():
+    with pytest.raises(ValueError, match="entries"):
+        decompose(petersen(), FractionalOneFactor((F(1, 3),)))
+
+
+def test_membership_of_the_empty_graph():
+    rep = verify_membership(Multigraph(0, ()), FractionalOneFactor(()))
+    assert rep.ok and rep.min_cut is None
+
+
 def test_decompose_petersen_uniform():
     g = petersen()
     dec = decompose(g, uniform(g, 3))

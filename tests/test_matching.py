@@ -28,6 +28,7 @@ from matchcover import (
     petersen,
     prism,
 )
+from matchcover.matching import _blossom
 
 from helpers import (
     CORPUS_IDS,
@@ -368,6 +369,39 @@ def test_max_weight_matches_the_networkx_oracle_on_dense_01_graphs():
         w = [rng.randint(0, 1) for _ in edges]
         got = _outcome(max_weight_perfect_matching, g, w)
         assert got == _outcome(max_weight_perfect_matching_networkx, g, w)
+
+
+# Raw blossom inputs with tied weights, shrunk from random multigraphs.  The
+# id-perturbed weights of max_weight_perfect_matching never reached these
+# branches of its expand step in 40,000 random graphs with n = 4..12.
+BLOSSOM_BRANCH_CASES = {
+    # at a stage's end, a zero-dual blossom holds a zero-dual sub-blossom,
+    # which expands in turn
+    "nested-zero-dual": (8, [(0, 6), (2, 4), (4, 0), (5, 0), (6, 1), (7, 4), (2, 7), (7, 6),
+                             (2, 5), (4, 3)],
+                         [1, 2, 1, 0, 0, 2, 2, 2, 2, 0]),
+    # a T-blossom expands mid-stage; past the path to its base, a reached
+    # sub-blossom turns T, and an S one keeps its label
+    "mid-stage-t-relabel": (12, [(0, 8), (4, 8), (5, 2), (6, 1), (7, 11), (8, 11), (4, 2),
+                                 (3, 0), (3, 8), (7, 6), (11, 9), (9, 2), (0, 7), (10, 3),
+                                 (10, 1)],
+                            [0, 0, 0, 2, 2, 1, 2, 1, 1, 1, 0, 1, 1, 1, 2]),
+    "mid-stage-s-kept": (12, [(1, 7), (3, 2), (4, 5), (8, 11), (10, 2), (11, 9), (11, 10),
+                              (9, 5), (6, 4), (8, 4), (7, 0), (3, 9), (0, 3), (6, 11), (7, 2)],
+                         [0, 2, 1, 1, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOSSOM_BRANCH_CASES))
+def test_blossom_expansions_with_tied_weights(case):
+    n, edges, weight = BLOSSOM_BRANCH_CASES[case]
+    g, ends = Multigraph(n, tuple(edges)), [x for uv in edges for x in uv]
+    mate = _blossom(n, ends, weight)
+    assert all(ends[mate[v] ^ 1] == v for v in range(n))
+    got = Matching(tuple({p >> 1 for p in mate}))
+    assert is_perfect_matching(g, got)
+    best = max(sum(weight[e] for e in pm.edge_ids) for pm in perfect_matchings_brute(g))
+    assert sum(weight[e] for e in got.edge_ids) == best
 
 
 def _greedy_start_is_perfect(g: Multigraph, ints: list[int]) -> bool:

@@ -8,6 +8,7 @@ from matchcover import (
     EdgeListError, GeneratorError, Multigraph, dipole, k4, parse_edge_list, random_regular,
     serialize,
 )
+from matchcover import generators
 from matchcover.generators import from_spec
 
 from helpers import corpus
@@ -42,6 +43,25 @@ def test_random_regular_spec_takes_one_seed():
     assert from_spec("random_regular:10,3", seed=1) == g
     with pytest.raises(GeneratorError, match="seed given twice: inline 1 and seed=2"):
         from_spec("random_regular:10,3,1", seed=2)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("dipole:0", "dipole needs r >= 1, got 0"),
+    ("prism:2", "prism needs cycle length >= 3, got 2"),
+    ("random_regular:9,3,0", "random_regular needs even n >= 2, got 9"),
+    ("random_regular:10,0,0", "random_regular needs r >= 1, got 0"),
+    ("prism:5.5", "generator parameters must be integers: '5.5'"),
+])
+def test_bad_generator_specs(spec, message):
+    with pytest.raises(GeneratorError) as err:
+        from_spec(spec)
+    assert str(err.value) == message
+
+
+def test_random_regular_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(generators, "_ATTEMPTS", 0)
+    with pytest.raises(GeneratorError, match="within 0 attempts"):
+        from_spec("random_regular:10,3,1")
 
 
 @st.composite

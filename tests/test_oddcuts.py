@@ -453,6 +453,12 @@ def test_odd_vertex_count_rejected():
         min_odd_cut(g, [1, 1, 1])
 
 
+def test_fewer_than_two_vertices_rejected():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            min_odd_cut(Multigraph(n, ()), [])
+
+
 def test_is_r_graph_positive():
     for g, r in [(petersen(), 3), (dipole(3), 3), (k33(), 3), (prism(6), 3)]:
         ok, res = is_r_graph(g, r)
