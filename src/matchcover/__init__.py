@@ -52,7 +52,6 @@ from .fractional import (
     FractionalOneFactor,
     MembershipReport,
     Multicoloring,
-    build_w_k,
     decompose,
     multicoloring,
     uniform,
@@ -73,8 +72,6 @@ from .lpfeas import solve_nonneg
 from .matching import (
     Matching,
     enumerate_perfect_matchings,
-    is_perfect_matching,
-    matching_weight,
     max_weight_perfect_matching,
 )
 from .multigraph import Multigraph, parse_edge_list, serialize

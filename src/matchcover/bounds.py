@@ -27,6 +27,7 @@ decimal, and flag values that are exact at four places.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 TABLE_RS = (3, 4, 5)  # the r and k rows and columns of bound_table
@@ -103,9 +104,11 @@ def bound_table() -> list[tuple[int, int, Fraction]]:
 
 
 def format_fraction(f: Fraction) -> str:
-    """Reduced 'p/q', or a bare integer when q is 1."""
+    """Reduced 'p/q', or a bare integer when q is 1, digit for digit.
+    Decimal renders integers past Python's int-to-str digit limit."""
     f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    p, q = str(Decimal(f.numerator)), str(Decimal(f.denominator))
+    return p if q == "1" else f"{p}/{q}"
 
 
 def approx_decimal(f: Fraction) -> tuple[str, bool]:

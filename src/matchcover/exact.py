@@ -167,10 +167,6 @@ class DoubleCoverResult:
     pm_count: int
     nodes: int
 
-    @property
-    def exhausted(self) -> bool:
-        return not self.found
-
 
 def bf_double_cover(g: Multigraph, r: int, cap: int = PM_CAP) -> DoubleCoverResult:
     """Search for 2r perfect matchings (repeats allowed) covering every

@@ -1,4 +1,4 @@
-"""Fractional 1-factors: membership, the usage-count vectors, decompositions.
+"""Fractional 1-factors: membership, the face peel, decompositions.
 
 A fractional 1-factor is an edge-weight vector w with
 
@@ -17,9 +17,6 @@ peels its terms off one at a time, keeping the cutting planes, and its
 first passing peel is the membership proof.  The decomposition is exact
 and verified by reconstruction on integer numerators.
 
-`build_w_k` spreads `bounds.w_k_entry`, the greedy cover's usage-count
-weight, over the edges.
-
 `verify_membership` reports the minimum odd cut, found by bisection on
 the flow decision; the greedy cover only decides, and `decompose` asks
 for the report only to say why w is no member.
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .bounds import w_k_entry
 from .errors import (
     LemmaViolationError,
     MembershipFailure,
@@ -62,9 +58,6 @@ class FractionalOneFactor:
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def total(self, edge_ids) -> Fraction:
-        return sum((self.values[e] for e in edge_ids), Fraction(0))
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -87,33 +80,6 @@ def uniform(g: Multigraph, r: int) -> FractionalOneFactor:
     if not g.is_regular(r):
         raise NotRegularError(f"graph is not {r}-regular")
     return FractionalOneFactor((Fraction(1, r),) * g.m)
-
-
-def build_w_k(g: Multigraph, r: int, k: int, counts) -> FractionalOneFactor:
-    """The usage-count weight vector for step k of the greedy cover.
-
-    `counts` are per-edge usage counts over the k-1 matchings chosen so
-    far; they must be consistent: integers in 0..k-1 summing to k-1
-    around every vertex of the r-regular graph.
-    """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if not g.is_regular(r):
-        raise NotRegularError(f"graph is not {r}-regular")
-    counts = list(counts)
-    if len(counts) != g.m:
-        raise ValueError(f"expected {g.m} counts, got {len(counts)}")
-    for e, c in enumerate(counts):
-        if not isinstance(c, int) or not 0 <= c <= k - 1:
-            raise ValueError(f"count of edge {e} must be an integer in 0..{k - 1}, got {c}")
-    for v in range(g.n):
-        s = sum(counts[e] for e in g.incident(v))
-        if s != k - 1:
-            raise ValueError(
-                f"counts around vertex {v} sum to {s}, expected {k - 1}"
-            )
-    entry = [w_k_entry(r, k, c) for c in range(k)]
-    return FractionalOneFactor(tuple(entry[c] for c in counts))
 
 
 def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport:
@@ -159,18 +125,10 @@ def _local_failure(g: Multigraph, nums: list[int], den: int) -> MembershipReport
 class ConvexDecomposition:
     """w = sum(coeff * indicator(matching)); coefficients positive, summing to 1."""
 
-    num_edges: int
     terms: tuple[tuple[Matching, Fraction], ...]
 
     def coefficients_sum(self) -> Fraction:
         return sum((c for _, c in self.terms), Fraction(0))
-
-    def reconstruct(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.num_edges
-        for mtch, coeff in self.terms:
-            for e in mtch.edge_ids:
-                out[e] += coeff
-        return tuple(out)
 
 
 def _peel(g: Multigraph, nums: list[int], d: int, gains, penalised: set[frozenset[int]],
@@ -301,7 +259,7 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
             out[e] += k
     if total != den or out != [x * (den // w_den) for x in w_nums]:
         raise AssertionError("decomposition failed exact reconstruction; internal bug")
-    return ConvexDecomposition(g.m, tuple(terms))
+    return ConvexDecomposition(tuple(terms))
 
 
 @dataclass(frozen=True)

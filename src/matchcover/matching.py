@@ -15,7 +15,6 @@ never depends on how a solver breaks ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
@@ -35,28 +34,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
-
-    def crossings(self, cut: frozenset[int]) -> int:
-        """Number of this matching's edges inside an edge-id set."""
-        return sum(1 for e in self.edge_ids if e in cut)
-
-
-def is_perfect_matching(g: Multigraph, m: Matching) -> bool:
-    """Every vertex covered exactly once."""
-    seen = set()
-    for e in m.edge_ids:
-        if not (0 <= e < g.m):
-            return False
-        u, v = g.edges[e]
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return len(seen) == g.n
-
-
-def matching_weight(m: Matching, weights) -> Fraction:
-    return sum((Fraction(weights[e]) for e in m.edge_ids), Fraction(0))
 
 
 def enumerate_perfect_matchings(

@@ -78,14 +78,6 @@ class Multigraph:
             raise ValueError("degree must be nonnegative")
         return all(len(inc) == r for inc in self._incident)
 
-    def other_end(self, edge_id: int, v: int) -> int:
-        u, w = self.edges[edge_id]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} not an endpoint of edge {edge_id}")
-
 
 def parse_edge_list(text: str) -> Multigraph:
     """Parse edge-list text into a Multigraph.

@@ -17,8 +17,8 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from matchcover import (
+    FractionalOneFactor,
     Multigraph,
-    build_w_k,
     bridge_pair,
     dipole,
     fractional,
@@ -28,13 +28,12 @@ from matchcover import (
     petersen,
     prism,
     random_regular,
-    uniform,
+    w_k_entry,
 )
 from matchcover.errors import CapExceededError, NoPerfectMatchingError
 from matchcover.matching import (
     Matching,
     enumerate_perfect_matchings,
-    matching_weight,
     max_weight_perfect_matching,
 )
 from matchcover.oddcuts import (
@@ -85,11 +84,17 @@ def corpus() -> tuple[tuple[str, Multigraph, int], ...]:
 CORPUS_IDS = [name for name, _, _ in corpus()]
 
 
+def w_k(r: int, k: int, counts) -> FractionalOneFactor:
+    """The greedy cover's usage-count vector at step k: `bounds.w_k_entry`
+    of each edge's count among the k-1 matchings so far (w_1 = 1/r)."""
+    return FractionalOneFactor(tuple(w_k_entry(r, k, c) for c in counts))
+
+
 def fast_cover_step_vectors(g: Multigraph, r: int, k: int):
     """The usage vector w_1, ..., w_k of every step of a fast greedy cover."""
     counts = [0] * g.m
     for step, m in enumerate(greedy_cover(g, r, k).matchings, 1):
-        yield uniform(g, r) if step == 1 else build_w_k(g, r, step, counts)
+        yield w_k(r, step, counts)
         for e in m.edge_ids:
             counts[e] += 1
 
@@ -365,7 +370,7 @@ def enumerate_perfect_matchings_dfs(
                 x = stack.pop()
                 size += 1
                 for e in g.incident(x):
-                    y = g.other_end(e, x)
+                    y = sum(g.edges[e]) - x
                     if not covered[y] and not seen[y]:
                         seen[y] = True
                         stack.append(y)
@@ -386,7 +391,7 @@ def enumerate_perfect_matchings_dfs(
             return
         covered[v] = True
         for e in g.incident(v):
-            u = g.other_end(e, v)
+            u = sum(g.edges[e]) - v
             if covered[u]:
                 continue
             covered[u] = True
@@ -703,9 +708,33 @@ def _fresh_sink_side(head, cap, out, lab, groups, hub: int, t: int, bound: int):
 def max_weight_value(g: Multigraph, weights) -> Fraction | None:
     """Maximum total weight of a perfect matching, or None if none exists."""
     try:
-        return matching_weight(max_weight_perfect_matching(g, weights), weights)
+        m = max_weight_perfect_matching(g, weights)
     except NoPerfectMatchingError:
         return None
+    return sum((weights[e] for e in m.edge_ids), Fraction(0))
+
+
+def is_perfect_matching(g: Multigraph, m: Matching) -> bool:
+    """Every vertex covered exactly once, by edge ids of g."""
+    seen = set()
+    for e in m.edge_ids:
+        if not 0 <= e < g.m:
+            return False
+        u, v = g.edges[e]
+        if u in seen or v in seen:
+            return False
+        seen.update((u, v))
+    return len(seen) == g.n
+
+
+def reconstruction(g: Multigraph, dec) -> tuple[Fraction, ...]:
+    """The vector a decomposition stands for: the sum of its coefficients
+    times the indicator vectors of its matchings, edge by edge."""
+    out = [Fraction(0)] * g.m
+    for m, c in dec.terms:
+        for e in m.edge_ids:
+            out[e] += c
+    return tuple(out)
 
 
 def covered_vertices(m: Matching, g: Multigraph) -> frozenset[int]:

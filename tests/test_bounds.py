@@ -27,7 +27,8 @@ def test_frozen_table_values():
 
 
 def test_usage_weight_has_one_definition():
-    assert matchcover.w_k_entry is fractional.w_k_entry is bounds.w_k_entry
+    assert matchcover.w_k_entry is bounds.w_k_entry
+    assert "w_k_entry" not in vars(fractional)  # no second route to w_k in src
 
 
 def test_frozen_table_decimals():

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcover import (
-    Multigraph, bridge_pair, k4, parse_edge_list, petersen, prism, random_regular,
-    serialize,
+    Multigraph, bridge_pair, k4, parse_edge_list, petersen, prism, product_bound,
+    random_regular, serialize,
 )
 from matchcover import GeneratorError, cli, cover, fractional, from_spec, generator_names
 from matchcover.cli import main
@@ -119,6 +120,33 @@ def test_bounds_single(capsys):
         "geometric bound: 5/9 (~0.5556)",
         "small-k bound: 3/5 (~0.6)",
     ]
+
+
+def _unlimited_str(f: Fraction) -> str:
+    """'p/q' by Python's own int-to-str, its digit limit lifted meanwhile."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv,text,key", [
+    (["bounds", "-r", "3", "-k", "7151"], "product bound: {} (~", "product"),
+    (["cover", "-r", "3", "-k", "7151", "--gen", "dipole:3"], "(bound {}: yes)", "bound"),
+], ids=["bounds", "cover"])
+def test_rationals_past_the_int_to_str_digit_limit_print_in_full(capsys, argv, text, key):
+    # k = 7151 is the least k whose product bound for r = 3 has a term of
+    # more than 4300 digits, the default limit of str(int)
+    full = _unlimited_str(product_bound(3, 7151))
+    assert max(map(len, full.split("/"))) > 4300
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert text.format(full) in out
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["result"][key] == full
 
 
 def test_bounds_table_json(capsys):

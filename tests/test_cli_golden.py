@@ -69,6 +69,8 @@ CASES = [
     "check -r 3 --corpus <TMP>/broken",
     "check -r 3 --corpus <TMP>/nope",
     "check -r 3 --corpus <TMP>/hollow",
+    "cover -r 3 -k 2 --gen random_regular:8,3,3",
+    "audit -r 3 -k 2 --gen random_regular:8,3,3",
 ]
 
 INVOCATIONS = [fmt + case for case in CASES for fmt in ("", "--format json ")]

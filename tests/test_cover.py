@@ -19,7 +19,6 @@ from matchcover import (
     audits_pass,
     verify_membership,
     bridge_pair,
-    build_w_k,
     dipole,
     greedy_cover,
     k4,
@@ -27,7 +26,6 @@ from matchcover import (
     petersen,
     prism,
     random_regular,
-    uniform,
 )
 from matchcover import cover, exact, fractional, matching, oddcuts
 from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
@@ -42,6 +40,7 @@ from helpers import (
     corpus,
     exact_lemma_pick_enumerated,
     min_odd_cut_networkx,
+    w_k,
 )
 
 F = Fraction
@@ -160,7 +159,7 @@ def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
     assert rep.all_l1
     state = CoverState.initial(g)
     for step, m in enumerate(rep.matchings, 1):
-        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        w = w_k(r, step, state.counts)
         assert verify_membership(g, w).ok
         a, b, d = _tight_coefficients(r, step)
         y = [(g.n + 1) * (a - b * c) for c in state.counts]
@@ -199,7 +198,7 @@ def test_exact_lemma_picks_the_enumerated_selection(case):
     rep = greedy_cover(g, r, 8, mode=EXACT_LEMMA)
     state = CoverState.initial(g)
     for step, m in enumerate(rep.matchings, 1):
-        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        w = w_k(r, step, state.counts)
         assert m == exact_lemma_pick_enumerated(g, w, state.covered), step
         state = state.extend(m)
 
@@ -286,7 +285,7 @@ def test_fast_cover_certificates_pinned_at_scale(n, r, seed):
     state = CoverState.initial(g)
     rows = []
     for step, (c, m) in enumerate(zip(rep.certificates, rep.matchings), 1):
-        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        w = w_k(r, step, state.counts)
         cut = min_odd_cut(g, w.values)
         rows.append((c.level, c.membership_verified, c.actual_gain, c.stalled,
                      str(cut.value), tuple(sorted(cut.witness))))
@@ -395,7 +394,7 @@ def exact_lemma_pick(g, pms, tights, covered):
     cut_sets = [g.boundary(s) for s in tights]
     best, best_gain = None, -1
     for pm in pms:
-        if all(pm.crossings(cs) == 1 for cs in cut_sets):
+        if all(len(cs.intersection(pm.edge_ids)) == 1 for cs in cut_sets):
             gain = sum(1 for e in pm.edge_ids if e not in covered)
             if gain > best_gain:
                 best, best_gain = pm, gain
@@ -424,7 +423,7 @@ def test_run_tables_match_full_scans_on_every_step(case):
         state = CoverState.initial(g)
         for step, (c, m) in enumerate(zip(rep.certificates, rep.matchings), 1):
             if mode == EXACT_LEMMA:
-                w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+                w = w_k(r, step, state.counts)
                 tights = tight_odd_cuts(g, w.values)
                 assert m == exact_lemma_pick(g, pms, tights, state.covered)
             state = state.extend(m)
@@ -442,7 +441,7 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
     codes, sizes, cross = odd_cut_crossings(g, range(r, r + 3))
     state = CoverState.initial(g)
     for step in range(1, k + 1):
-        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        w = w_k(r, step, state.counts)
         m = rnd.choice(pms)
         # the exact-lemma check on y = K*nums - chi_M against the oracles
         a, b, d = _tight_coefficients(r, step)
@@ -452,11 +451,14 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         side = oddcuts._odd_cuts_at_least(g, y, (g.n + 1) * d - 1)
         tights = {g.boundary(s) for s in tight_odd_cuts(g, w.values)}
         member = verify_membership(g, w).ok
-        assert (side is None) == (member and all(m.crossings(c) == 1 for c in tights))
+        on = frozenset(m.edge_ids)
+        assert (side is None) == (member and all(len(c & on) == 1 for c in tights))
         if side is not None and member:
-            assert g.boundary(side) in tights and m.crossings(g.boundary(side)) >= 3
-        elif side is not None:
-            assert sum(w.values[e] for e in g.boundary(side)) < 1
+            assert g.boundary(side) in tights and len(g.boundary(side) & on) >= 3
+        elif side is not None:  # a side below 1, or a tight one M crosses thrice
+            cut = g.boundary(side)
+            weight = sum(w.values[e] for e in cut)
+            assert weight < 1 or (weight == 1 and len(cut & on) >= 3)
         state = state.extend(m)
         audit = _audit_families(r, step, codes, sizes, cross @ state.counts)
         assert audit == audit_cut_invariants(state, r)
@@ -500,7 +502,7 @@ def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
     state = CoverState.initial(g)
     outcomes = []
     for step, m in enumerate(rep.matchings, 1):
-        w = uniform(g, r) if step == 1 else build_w_k(g, r, step, state.counts)
+        w = w_k(r, step, state.counts)
         # the integer vector the cover builds is w_j; the decision settles (iii)
         a, b, d = _tight_coefficients(r, step)
         nums = [a - b * c for c in state.counts]

@@ -121,14 +121,6 @@ def test_boundary():
         g.boundary({5})
 
 
-def test_other_end():
-    g = k4()
-    assert g.other_end(0, 0) == 1
-    assert g.other_end(0, 1) == 0
-    with pytest.raises(ValueError):
-        g.other_end(0, 2)
-
-
 def test_is_regular():
     assert k4().is_regular(3)
     assert not k4().is_regular(2)

@@ -362,7 +362,7 @@ def planted_ball(n, seed, size):
     ball, seen = [0], {0}
     for x in ball:
         for e in g.incident(x):
-            y = g.other_end(e, x)
+            y = sum(g.edges[e]) - x
             if y not in seen and len(ball) < size:
                 seen.add(y)
                 ball.append(y)

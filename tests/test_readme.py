@@ -22,6 +22,12 @@ def test_quick_tour_runs_and_matches_its_comments():
     assert report.fraction == 1 and len(report.state.covered) == 15
     assert report.bound == Fraction(413, 429)
     assert len(report.matchings) == 6
+    # the first matching is picked again at step 6, so the edges are used
+    # 1 to 3 times: not a double cover
+    assert report.matchings[5] == report.matchings[0] and len(set(report.matchings)) == 5
+    uses = [sum(e in m.edge_ids for m in report.matchings) for e in range(15)]
+    assert (min(uses), max(uses)) == (1, 3)
+    assert "# 6, the first picked twice: no double cover" in quick_tour()
     assert set(ns["w"].values) == {Fraction(1, 3)}
     assert len(ns["dec"].terms) == 6
     mc = ns["mc"]
