@@ -280,6 +280,12 @@ def _cmd_cover(g: Multigraph, args):
     return result, certs, text
 
 
+def _decimal(f: Fraction) -> str:
+    """f as a decimal marked '=' when exact and '~' when rounded."""
+    dec, exact = approx_decimal(f)
+    return ("=" if exact else "~") + dec
+
+
 def _cmd_exact(g: Multigraph, args):
     if args.k is None and not args.excessive:
         raise _Failure(2, "usage: exact needs -k and/or --excessive")
@@ -292,10 +298,9 @@ def _cmd_exact(g: Multigraph, args):
         result["witness_indices"] = list(cov.witness_indices)
         result["matchings"] = [list(m.edge_ids) for m in cov.matchings]
         result["pm_count"] = cov.pm_count
-        dec, _ = approx_decimal(cov.fraction)
         text.append(
-            f"best {args.k}-cover fraction: {format_fraction(cov.fraction)} (~{dec}) "
-            f"over {cov.pm_count} matchings; witness indices {list(cov.witness_indices)}"
+            f"best {args.k}-cover fraction: {result['fraction']} ({_decimal(cov.fraction)}) "
+            f"over {cov.pm_count} matchings; witness indices {result['witness_indices']}"
         )
     if args.excessive:
         ei = excessive_index(g, pm_cap=args.pm_cap)
@@ -314,8 +319,7 @@ def _cmd_bounds(_g, args):
             dec, exact = approx_decimal(b)
             rows.append({"r": r, "k": k, "bound": format_fraction(b),
                          "decimal": dec, "exact": exact})
-            cells.setdefault(r, []).append(
-                f"k={k}: {format_fraction(b)} ({'=' if exact else '~'}{dec})")
+            cells.setdefault(r, []).append(f"k={k}: {format_fraction(b)} ({_decimal(b)})")
         text = [f"r={r}:  " + "; ".join(c) for r, c in cells.items()]
         return {"table": rows}, None, text
     if args.r is None or args.k is None:
@@ -329,7 +333,7 @@ def _cmd_bounds(_g, args):
     for name, b in bounds.items():
         result[name] = format_fraction(b)
         label = name.replace("_", "-")
-        text.append(f"{label} bound: {result[name]} (~{approx_decimal(b)[0]})")
+        text.append(f"{label} bound: {result[name]} ({_decimal(b)})")
     return result, None, text
 
 

@@ -155,12 +155,16 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     ends[mate[v]] is v's partner and mate[v] >> 1 the matched edge, or
     None when no perfect matching exists.
 
-    One augmentation per stage, slack on vertex duals only, never cached:
-    the scan reads tightness off the duals, and a new S-blossom finds its
-    least-slack edge to another S-blossom in one pass over its leaves'
-    edges, O(n^2 m) in the worst case and O(n^3) on r-graphs of fixed r.
-    Weights enter as 4w and vertex duals start even, so slacks between
-    two S-vertices stay even and every dual stays an integer.  A greedy
+    One augmentation per stage.  Edge excesses dual[u] + dual[v] - 4w
+    are read off the vertex duals, never cached.  Each dual step takes
+    the least of the top-level T-blossoms' duals and, over the edges
+    from the stage's S-vertices to other top-level blossoms, the excess
+    into a free one and half the excess into an S one.  A step is
+    O(n + m) and a stage takes O(n) of them, each followed by a label,
+    shrink, expansion or augmentation, so the n/2 stages cost O(n^2 m),
+    and O(n^3) on r-graphs of fixed r (m = rn/2).  Weights enter as 4w
+    and vertex duals start even, so the excess between two S-vertices
+    stays even and every dual stays an integer.  A greedy
     start on tight edges that is already perfect is returned at once:
     its duals are feasible and every matched edge is tight.
     Blossoms are n..2n-1; nested blossoms are expanded and augmented
@@ -195,13 +199,10 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     base = list(range(n)) + [-1] * n
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T; bit 4 marks a visit in scan
     labelend = [-1] * (2 * n)  # end (outside) of the edge a label came through
-    bestedge = [-1] * (2 * n)  # least-slack edge from another S-blossom
     free_ids = list(range(2 * n - 1, n - 1, -1))
     live: list[int] = []  # blossoms in use
     queue: list[int] = []
-
-    def slack(k):
-        return dual[ends[2 * k]] + dual[ends[2 * k + 1]] - w4[k]
+    svs: list[int] = []  # S-vertices of this stage
 
     def direction(cs, i):
         """Start index, step and end trick for the even way round the cycle
@@ -213,9 +214,9 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
             b = inblossom[w]
             label[w] = label[b] = t
             labelend[w] = labelend[b] = p
-            bestedge[w] = bestedge[b] = -1
             if t == 1:
                 queue.extend(leaves[b])
+                svs.extend(leaves[b])
                 return
             # the T-blossom's base is matched: its mate's blossom turns S
             q = mate[base[b]]
@@ -262,12 +263,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
         for x in lv:
             if label[inblossom[x]] == 2:
                 queue.append(x)  # former T-vertices are S now
+                svs.append(x)
             inblossom[x] = b
-        for c in path:
-            bestedge[c] = -1
-        cands = [(slack(p >> 1), p >> 1) for x in lv for p in adj[x]
-                 if inblossom[ends[p]] != b and label[inblossom[ends[p]]] == 1]
-        bestedge[b] = min(cands)[1] if cands else -1
 
     def expand(b0, endstage):
         """Dissolve blossom b0 (and, at the end of a stage, its zero-dual
@@ -298,7 +295,6 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                 bv = cs[j]
                 label[x] = label[bv] = 2
                 labelend[x] = labelend[bv] = p
-                bestedge[bv] = -1
                 j += step
                 while cs[j] != entry:  # the rest becomes T where reached, else free
                     bv = cs[j]
@@ -310,7 +306,7 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                             assign(x, 2, labelend[x])
                             break
             label[b] = 0
-            labelend[b] = base[b] = bestedge[b] = -1
+            labelend[b] = base[b] = -1
             childs[b] = endps[b] = leaves[b] = None
             free_ids.append(b)
             live.remove(b)
@@ -364,8 +360,8 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
         # a stage: grow alternating trees from every single vertex until one
         # augmentation; in between, move duals to make new edges tight
         label[:] = [0] * (2 * n)
-        bestedge[:] = [-1] * (2 * n)
         queue.clear()
+        svs.clear()
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign(v, 1, -1)
@@ -379,9 +375,7 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                     bw = inblossom[w]
                     if inblossom[v] == bw:
                         continue
-                    k = p >> 1
-                    ks = dv + dual[w] - w4[k]
-                    if ks <= 0:
+                    if dv + dual[w] <= w4[p >> 1]:
                         if label[bw] == 0:
                             assign(w, 2, p ^ 1)
                         elif label[bw] == 1:
@@ -389,30 +383,25 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
                             if bs >= 0:
                                 add_blossom(bs, p ^ 1)
                             else:
-                                augment(k)
+                                augment(p >> 1)
                                 augmented = True
                                 break
                         elif label[w] == 0:  # reached inside a T-blossom
                             label[w] = 2
                             labelend[w] = p ^ 1
-                    elif label[bw] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or ks < slack(bestedge[b]):
-                            bestedge[b] = k
-                    elif label[w] == 0:
-                        if bestedge[w] == -1 or ks < slack(bestedge[w]):
-                            bestedge[w] = k
             if augmented:
                 break
-            # delta2: S to free vertex; delta3: half an S-S slack;
+            # delta2: S to free vertex; delta3: half an S-S excess;
             # delta4: the dual of a T-blossom, which then expands
-            found = [(slack(bestedge[v]), 2, bestedge[v]) for v in range(n)
-                     if bestedge[v] != -1 and label[inblossom[v]] == 0]
-            for b in (*range(n), *live):
-                if parent[b] == -1 and label[b] == 1 and bestedge[b] != -1:
-                    found.append((slack(bestedge[b]) >> 1, 3, bestedge[b]))
-                elif b >= n and parent[b] == -1 and label[b] == 2:
-                    found.append((dual[b], 4, b))
+            found = [(dual[b], 4, b) for b in live if parent[b] == -1 and label[b] == 2]
+            for v in svs:
+                bv, dv = inblossom[v], dual[v]
+                for p in adj[v]:
+                    w = ends[p]
+                    bw = inblossom[w]
+                    if bw != bv and label[bw] != 2:
+                        ks = dv + dual[w] - w4[p >> 1]
+                        found.append((ks >> 1, 3, p >> 1) if label[bw] else (ks, 2, p >> 1))
             if not found:
                 return None  # no tree can grow: the matching is maximum
             delta, kind, arg = min(found)

@@ -99,10 +99,6 @@ def fast_cover_step_vectors(g: Multigraph, r: int, k: int):
             counts[e] += 1
 
 
-def frac(s) -> Fraction:
-    return Fraction(s)
-
-
 # The full bound table: (r, k) -> (reduced rational, decimal string, exact flag).
 # Values recomputed from the product formula by every table test; frozen here
 # so a formula regression cannot silently agree with itself.

@@ -116,9 +116,9 @@ def test_bounds_single(capsys):
     code, out, _ = run(capsys, ["bounds", "-r", "3", "-k", "2"])
     assert code == 0
     assert out.splitlines() == [
-        "product bound: 3/5 (~0.6)",
+        "product bound: 3/5 (=0.6)",
         "geometric bound: 5/9 (~0.5556)",
-        "small-k bound: 3/5 (~0.6)",
+        "small-k bound: 3/5 (=0.6)",
     ]
 
 
@@ -192,7 +192,7 @@ def test_exact_past_the_recursion_limit(capsys):
     code, out, _ = run(capsys, ["exact", "-k", "1100", "--gen", "random_regular:16,6",
                                 "--seed", "7"])
     assert code == 0
-    assert out.startswith("best 1100-cover fraction: 1 (~1.0) over 3576 matchings; ")
+    assert out.startswith("best 1100-cover fraction: 1 (=1.0) over 3576 matchings; ")
 
 
 def test_exact_needs_a_task(capsys):

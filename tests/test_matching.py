@@ -387,6 +387,14 @@ BLOSSOM_BRANCH_CASES = {
     "mid-stage-s-kept": (12, [(1, 7), (3, 2), (4, 5), (8, 11), (10, 2), (11, 9), (11, 10),
                               (9, 5), (6, 4), (8, 4), (7, 0), (3, 9), (0, 3), (6, 11), (7, 2)],
                          [0, 2, 1, 1, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 1]),
+    # a T-blossom expands mid-stage, and a later dual step tightens an edge
+    # from an S-vertex into a vertex that was inside it and is free now; the
+    # S-end was scanned while the far end sat inside the T-blossom, and a
+    # dual step that misses such edges reports no perfect matching
+    "dual-step-into-dissolved-t": (12, [(0, 1), (3, 9), (9, 0), (0, 5), (4, 7), (9, 6), (2, 8),
+                                        (1, 3), (3, 0), (6, 2), (10, 7), (8, 4), (11, 2),
+                                        (10, 1), (5, 2)],
+                                   [2, 2, 2, 1, 2, 0, 2, 0, 2, 2, 1, 2, 1, 2, 2]),
 }
 
 
