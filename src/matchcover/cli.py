@@ -1,13 +1,16 @@
 """Command-line interface.
 
 One subcommand per library operation, each a handler in one table.
-Exit codes: 0 success, 1 the analysis came back negative (not an
-r-graph, bound unmet, no double cover, membership failure), 2 usage or
-input error, 3 a configured cap was exhausted, 4 an internal error (the
-traceback goes to stderr).  A graph comes from exactly one of --gen,
---input or --corpus.  JSON reports follow one schema for every
-subcommand: command, graph {n, m, source}, params, result, certificates,
-and a machine-parsable exit_reason; rationals are reduced 'p/q' strings.
+Exit codes, with the prefixes of their exit reasons: 0 success (ok); 1 a
+negative answer (not-r-graph, not-regular, uncoverable-edge,
+no-perfect-matching, membership, bound-unmet, no-double-cover,
+audit-violation); 2 usage or input error (edge-list, generator, usage);
+3 a configured cap was exhausted (cap); 4 an internal error (internal;
+the traceback goes to stderr).  A subcommand that takes a graph reads it
+from exactly one of --gen, --input or --corpus; gen takes only --gen and
+bounds none.  JSON reports follow one schema for every subcommand:
+command, graph {n, m, source}, params, result, certificates, and a
+machine-parsable exit_reason; rationals are reduced 'p/q' strings.
 """
 
 from __future__ import annotations
@@ -82,20 +85,6 @@ def _audit_text(families) -> str:
     return "audit: " + "; ".join(parts)
 
 
-class _Failure(Exception):
-    """Internal carrier of a failed run's exit code, machine reason and the
-    result, certificates and text its report still shows."""
-
-    def __init__(self, code: int, reason: str, result: dict | None = None,
-                 certs: list | None = None, text: list[str] | None = None):
-        super().__init__(reason)
-        self.code = code
-        self.reason = reason
-        self.result = result or {}
-        self.certs = certs
-        self.text = text or []
-
-
 # First match wins: every package error is a ValueError, so usage comes last.
 _EXITS = (
     (EdgeListError, 2, "edge-list"),
@@ -110,21 +99,19 @@ _EXITS = (
 )
 
 
-def _classify(exc: Exception) -> _Failure:
-    """Exit code and reason for any exception a run raises; an unknown one
-    is an internal error, reported with its traceback on stderr."""
-    if isinstance(exc, _Failure):
-        return exc
+def _classify(exc: Exception) -> tuple[int, str, dict]:
+    """Exit code, reason and result for any exception a run raises; an
+    unknown one is an internal error, reported with its traceback on stderr."""
     for types, code, prefix in _EXITS:
         if isinstance(exc, types):
-            result = None
+            result = {}
             if isinstance(exc, NotRGraphError) and exc.witness is not None:
                 result = {"witness": exc.witness, "cut_value": exc.value}
             elif isinstance(exc, UncoverableEdgeError):
                 result = {"edge": exc.edge_id}
-            return _Failure(code, f"{prefix}: {exc}", result)
+            return code, f"{prefix}: {exc}", result
     traceback.print_exception(type(exc), exc, exc.__traceback__)
-    return _Failure(4, f"internal: {type(exc).__name__}: {exc}")
+    return 4, f"internal: {type(exc).__name__}: {exc}", {}
 
 
 def _cap(text: str) -> int:
@@ -200,14 +187,14 @@ def _load_graph(args) -> tuple[Multigraph | None, str | None]:
         return None, None
     gen, inp = args.gen, getattr(args, "input", None)
     if args.seed is not None and gen is None:
-        raise _Failure(2, "usage: --seed feeds a generator and needs --gen")
+        raise ValueError("--seed feeds a generator and needs --gen")
     corpus = getattr(args, "corpus", None)
     if corpus and (gen is not None or inp is not None):
-        raise _Failure(2, "usage: --corpus cannot be combined with --gen or --input")
+        raise ValueError("--corpus cannot be combined with --gen or --input")
     if corpus:
-        raise _Failure(2, f"usage: corpus directory not found: {corpus}")
+        raise ValueError(f"corpus directory not found: {corpus}")
     if (gen is None) == (inp is None):
-        raise _Failure(2, "usage: exactly one of --gen or --input is required")
+        raise ValueError("exactly one of --gen or --input is required")
     if gen is not None:
         return from_spec(gen, seed=args.seed), f"gen:{gen}"
     return parse_edge_list(Path(inp).read_text()), f"file:{inp}"
@@ -220,22 +207,22 @@ def _params_json(args) -> dict:
 
 def _cmd_gen(g: Multigraph, args):
     text = serialize(g)
-    return {"edge_list": text}, None, [text.rstrip("\n")]
+    return {"edge_list": text}, None, [text.rstrip("\n")], None
 
 
 def _cmd_check(g: Multigraph, args):
     ok, cut = is_r_graph(g, args.r)
     if cut is None:
-        return {"r_graph": True}, None, ["r-graph: yes (empty graph)"]
+        return {"r_graph": True}, None, ["r-graph: yes (empty graph)"], None
     value = format_fraction(cut.value)
     result = {"r_graph": ok, "min_odd_cut": value, "witness": sorted(cut.witness)}
     if ok:
-        return result, None, [f"r-graph: yes (min odd cut {value})"]
+        return result, None, [f"r-graph: yes (min odd cut {value})"], None
     text = [
         f"r-graph: no (odd cut of value {value} < {args.r}; "
         f"witness {{{', '.join(map(str, sorted(cut.witness)))}}})"
     ]
-    raise _Failure(1, f"not-r-graph: min odd cut {value} < {args.r}", result, text=text)
+    return result, None, text, f"not-r-graph: min odd cut {value} < {args.r}"
 
 
 def _cover_text(rep) -> list[str]:
@@ -273,11 +260,9 @@ def _cmd_cover(g: Multigraph, args):
         "bound_met": rep.bound_met,
         "all_l1": rep.all_l1,
     }
-    text = _cover_text(rep)
-    if not rep.bound_met:
-        raise _Failure(1, f"bound-unmet: {result['fraction']} < {result['bound']}",
-                       result, certs, text)
-    return result, certs, text
+    negative = None if rep.bound_met else (
+        f"bound-unmet: {result['fraction']} < {result['bound']}")
+    return result, certs, _cover_text(rep), negative
 
 
 def _decimal(f: Fraction) -> str:
@@ -288,7 +273,7 @@ def _decimal(f: Fraction) -> str:
 
 def _cmd_exact(g: Multigraph, args):
     if args.k is None and not args.excessive:
-        raise _Failure(2, "usage: exact needs -k and/or --excessive")
+        raise ValueError("exact needs -k and/or --excessive")
     result = {}
     text = []
     if args.k is not None:
@@ -309,7 +294,7 @@ def _cmd_exact(g: Multigraph, args):
         text.append(
             f"excessive index: {ei.value} (witness indices {list(ei.witness_indices)})"
         )
-    return result, None, text
+    return result, None, text, None
 
 
 def _cmd_bounds(_g, args):
@@ -321,9 +306,9 @@ def _cmd_bounds(_g, args):
                          "decimal": dec, "exact": exact})
             cells.setdefault(r, []).append(f"k={k}: {format_fraction(b)} ({_decimal(b)})")
         text = [f"r={r}:  " + "; ".join(c) for r, c in cells.items()]
-        return {"table": rows}, None, text
+        return {"table": rows}, None, text, None
     if args.r is None or args.k is None:
-        raise _Failure(2, "usage: bounds needs --table or both -r and -k")
+        raise ValueError("bounds needs --table or both -r and -k")
     bounds = {"product": product_bound(args.r, args.k),
               "geometric": geometric_bound(args.r, args.k)}
     if args.k <= 2 * args.r - 1:
@@ -334,7 +319,7 @@ def _cmd_bounds(_g, args):
         result[name] = format_fraction(b)
         label = name.replace("_", "-")
         text.append(f"{label} bound: {result[name]} ({_decimal(b)})")
-    return result, None, text
+    return result, None, text, None
 
 
 def _cmd_decompose(g: Multigraph, args):
@@ -352,7 +337,7 @@ def _cmd_decompose(g: Multigraph, args):
             "(reconstruction verified exactly)"]
     for m, c in dec.terms:
         text.append(f"  {format_fraction(c)} * edges {list(m.edge_ids)}")
-    return result, None, text
+    return result, None, text, None
 
 
 def _cmd_multicolor(g: Multigraph, args):
@@ -366,7 +351,7 @@ def _cmd_multicolor(g: Multigraph, args):
         f"p = {mc.p}: {len(mc.matchings)} matchings "
         f"(= {args.r}*{mc.p}) cover every edge exactly {mc.p} times"
     ]
-    return result, None, text
+    return result, None, text, None
 
 
 def _cmd_bf_search(g: Multigraph, args):
@@ -375,14 +360,11 @@ def _cmd_bf_search(g: Multigraph, args):
     result = {"found": res.found, **cover, "pm_count": res.pm_count, "nodes": res.nodes}
     if res.found:
         return result, None, [f"double cover found: {len(res.matchings)} matchings "
-                              f"(2*{args.r}), every edge exactly twice"]
-    raise _Failure(
-        1,
-        f"no-double-cover: exhausted {res.pm_count} matchings ({res.nodes} nodes)",
-        {**result, "exhausted": True},
-        text=[f"no double cover: search space fully explored "
-              f"({res.pm_count} matchings, {res.nodes} nodes)"],
-    )
+                              f"(2*{args.r}), every edge exactly twice"], None
+    return ({**result, "exhausted": True}, None,
+            [f"no double cover: search space fully explored "
+             f"({res.pm_count} matchings, {res.nodes} nodes)"],
+            f"no-double-cover: exhausted {res.pm_count} matchings ({res.nodes} nodes)")
 
 
 def _cmd_audit(g: Multigraph, args):
@@ -395,14 +377,13 @@ def _cmd_audit(g: Multigraph, args):
     fams = rep.certificates[-1].audit
     result = {"audit": [asdict(f) for f in fams], "mode": args.mode,
               "fraction": format_fraction(rep.fraction)}
-    text = [_audit_text(fams)]
-    if not audits_pass(fams):
-        raise _Failure(1, "audit-violation: some cut family broke its clause",
-                       result, text=text)
-    return result, None, text
+    negative = None if audits_pass(fams) else (
+        "audit-violation: some cut family broke its clause")
+    return result, None, [_audit_text(fams)], negative
 
 
-# Each handler returns (result, certificates, text); a negative answer raises _Failure.
+# Each handler returns (result, certificates, text, negative): negative is None for a
+# positive answer, else its exit reason (exit 1).  Only errors raise; _classify maps them.
 _COMMANDS = {
     "gen": _cmd_gen,
     "check": _cmd_check,
@@ -447,12 +428,11 @@ def _run(args, load, meta=None) -> tuple[int, dict, list[str]]:
         g, source = load()
         if g is not None:
             meta = {"n": g.n, "m": g.m, "source": source}
-        result, certs, text = _COMMANDS[args.command](g, args)
-        code, reason = 0, "ok"
+        result, certs, text, negative = _COMMANDS[args.command](g, args)
+        code, reason = (0, "ok") if negative is None else (1, negative)
     except Exception as exc:  # noqa: BLE001 - every failure maps to an exit code
-        fail = _classify(exc)
-        code, reason, result, certs, text = (fail.code, fail.reason, fail.result,
-                                             fail.certs, fail.text)
+        code, reason, result = _classify(exc)
+        certs, text = None, []
     report = {
         "command": args.command,
         "graph": meta,

@@ -360,14 +360,14 @@ def is_r_graph(g: Multigraph, r: int) -> tuple[bool, OddCutResult | None]:
     Requires g to be r-regular (raises NotRegularError otherwise).  The
     second component is always the minimizing odd cut, which serves as
     the violation witness when the answer is False.  For odd n the full
-    vertex set is an empty-boundary odd cut, so the answer is False
-    outright.  The empty graph passes vacuously with no witness.
+    vertex set is an empty-boundary odd cut, so the answer is r <= 0.
+    The empty graph passes vacuously with no witness.
     """
     if not g.is_regular(r):
         raise NotRegularError(f"graph is not {r}-regular")
     if g.n == 0:
         return True, None
     if g.n % 2 == 1:
-        return False, OddCutResult(Fraction(0), frozenset(range(g.n)))
+        return r <= 0, OddCutResult(Fraction(0), frozenset(range(g.n)))
     res = min_odd_cut(g, [1] * g.m)
     return res.value >= r, res

@@ -71,6 +71,9 @@ CASES = [
     "check -r 3 --corpus <TMP>/hollow",
     "cover -r 3 -k 2 --gen random_regular:8,3,3",
     "audit -r 3 -k 2 --gen random_regular:8,3,3",
+    "check -r 3 --input <TMP>/petersen.txt --seed 5",
+    "check -r 3 --corpus <TMP>/clean --gen k4",
+    "check -r 0 --input <TMP>/single.txt",
 ]
 
 INVOCATIONS = [fmt + case for case in CASES for fmt in ("", "--format json ")]
@@ -81,6 +84,7 @@ def make_inputs(root: Path) -> None:
     (root / "petersen.txt").write_text(serialize(petersen()))
     (root / "k4.txt").write_text(serialize(k4()))
     (root / "empty.txt").write_text("0 0\n")
+    (root / "single.txt").write_text("1 0\n")
     (root / "bad.txt").write_text("not a graph\n")
     corpora = {
         "clean": [("k4.txt", k4()), ("petersen.txt", petersen()), ("prism5.txt", prism(5))],

@@ -475,10 +475,14 @@ def test_is_r_graph_negative():
 
 def test_is_r_graph_odd_order():
     c5 = Multigraph(5, tuple((i, (i + 1) % 5) for i in range(5)))
-    ok, res = is_r_graph(c5, 2)
-    assert not ok
-    assert res.value == 0
-    assert res.witness == frozenset(range(5))
+    k5 = Multigraph(5, tuple(itertools.combinations(range(5), 2)))
+    # the full vertex set's empty boundary meets r = 0, as it does at even n
+    for g, r, expected in [(c5, 2, False), (k5, 4, False),
+                           (Multigraph(1, ()), 0, True), (Multigraph(3, ()), 0, True)]:
+        ok, res = is_r_graph(g, r)
+        assert ok is expected
+        assert res.value == 0
+        assert res.witness == frozenset(range(g.n))
 
 
 def test_is_r_graph_empty_graph():

@@ -1,8 +1,13 @@
-"""The README's library quick tour runs as written and says what it returns."""
+"""The README agrees with the code: the library quick tour runs as written
+and says what it returns, the layout names every module, and the exit codes
+name every reason."""
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
+
+from matchcover.cli import _EXITS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +49,28 @@ def test_layout_names_every_module():
     named = set(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
     src = README.parent / "src" / "matchcover"
     assert named == {p.name for p in src.glob("*.py")} - {"__init__.py"}
+
+
+def test_exit_codes_name_every_reason():
+    """Each exit code's bullet names the prefix of every reason that takes
+    that code: the classified exceptions in `cli._EXITS`, and every reason
+    a recorded JSON report shows, which includes each handler's negative
+    answer."""
+    text = README.read_text()
+    section = text[text.index("Exit codes, each with"):]
+    section = section[:section.index("\n\n", section.index("\n- 0:"))]
+    named = {
+        int(code): set(re.findall(r"`([a-z-]+)", item))
+        for code, item in re.findall(r"^- (\d): (.*?)(?=^- |\Z)", section,
+                                     re.MULTILINE | re.DOTALL)
+    }
+    expected = {(code, prefix) for _, code, prefix in _EXITS}
+    golden = json.loads((README.parent / "tests" / "cli_golden.json").read_text())
+    for invocation, run in golden.items():
+        if invocation.startswith("--format json") and run["stdout"]:
+            report = json.loads(run["stdout"])
+            if "reports" not in report:  # a corpus batch exits with its worst file's code
+                expected.add((run["code"], report["exit_reason"].split(":")[0]))
+    negatives = ("not-r-graph", "bound-unmet", "no-double-cover", "audit-violation")
+    assert {(1, reason) for reason in negatives} <= expected
+    assert {(c, p) for c, prefixes in named.items() for p in prefixes} >= expected
