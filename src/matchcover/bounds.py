@@ -13,12 +13,12 @@ coverable by k perfect matchings, all exact rationals:
 `w_k_entry` is the per-edge weight used by the greedy cover: after
 k-1 matchings have been chosen, an edge used count times gets weight
 w_k(count), a strictly decreasing affine function of count normalized
-so vertex stars sum to 1.  The two parities of r need different
-coefficients.  The minimum sits at count k-1, and its sharp floor
-depends on r: exactly 1/(2k+1) for r = 3, strictly above 1/(r+3) for
-even r and strictly above 1/(r+4) for odd r >= 5.  No constant floor
-holds for r = 3, because the cubic weights are forced by the cubic
-product bound 1 - prod (i+1)/(2i+1).
+so vertex stars sum to 1; `w_k_coefficients` gives its integers.  The
+two parities of r need different coefficients.  The minimum sits at
+count k-1, and its sharp floor depends on r: exactly 1/(2k+1) for
+r = 3, strictly above 1/(r+3) for even r and strictly above 1/(r+4)
+for odd r >= 5.  No constant floor holds for r = 3, because the cubic
+weights are forced by the cubic product bound 1 - prod (i+1)/(2i+1).
 
 Also hosts the exact -> decimal rendering used by the CLI: round
 half-even to four places, strip trailing zeros, keep at least one
@@ -48,6 +48,23 @@ def geometric_bound(r: int, k: int) -> Fraction:
     return 1 - Fraction(r - 1, r) ** k
 
 
+def w_k_coefficients(r: int, k: int) -> tuple[int, int, int]:
+    """(a, b, d) in lowest terms with w_k(count) = (a - b*count)/d.
+
+    Defined for r >= 3 and k >= 1; b is 1, except b = 0 for w_1 = 1/r.
+    Every coefficient of the odd-r form is even, so it is halved.
+    """
+    if r < 3:
+        raise ValueError(f"r must be at least 3, got {r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k == 1:
+        return 1, 0, r
+    if r % 2 == 0:
+        return (r - 2) * k - (r - 4), 1, (r * r - 2 * r - 1) * k - (r * r - 4 * r - 1)
+    return ((r - 1) * k - (r - 3)) // 2, 1, ((r * r - r - 2) * k - (r * r - 3 * r - 2)) // 2
+
+
 def w_k_entry(r: int, k: int, count: int) -> Fraction:
     """Weight of an edge used `count` times among k-1 chosen matchings.
 
@@ -59,19 +76,10 @@ def w_k_entry(r: int, k: int, count: int) -> Fraction:
     r, and strictly above 1/(r+4) for odd r >= 5.  The last two floors
     are the limits as k grows for r = 4 and r = 5.
     """
-    if r < 3:
-        raise ValueError(f"r must be at least 3, got {r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    a, b, d = w_k_coefficients(r, k)
     if not 0 <= count <= k - 1:
         raise ValueError(f"count must lie in 0..{k - 1}, got {count}")
-    if r % 2 == 0:
-        num = (r - 2) * k - (r - 4) - count
-        den = (r * r - 2 * r - 1) * k - (r * r - 4 * r - 1)
-    else:
-        num = (r - 1) * k - (r - 3) - 2 * count
-        den = (r * r - r - 2) * k - (r * r - 3 * r - 2)
-    return Fraction(num, den)
+    return Fraction(a - b * count, d)
 
 
 def product_bound(r: int, k: int) -> Fraction:

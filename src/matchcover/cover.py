@@ -10,9 +10,10 @@ Each iteration j picks a perfect matching and certifies its gain:
   certificate is the uniform-vector average, #uncovered / r.
 
 w_j is built as integer numerators a - b*count over one denominator d
-and checked exactly against (i) and (ii).  The r-graph check and (iii)
-in both modes are flow threshold decisions (`oddcuts._odd_cuts_at_least`);
-`is_r_graph` bisects on the decision only to name a rejected graph's witness.
+(`bounds.w_k_coefficients`) and checked exactly against (i) and (ii).
+The r-graph check and (iii) in both modes are flow threshold decisions
+(`oddcuts._odd_cuts_at_least`); `is_r_graph` bisects on the decision
+only to name a rejected graph's witness.
 
 Both modes pick with blossom calls on the gain vector (1 on an
 uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
@@ -50,9 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .bounds import product_bound, w_k_entry
+from .bounds import product_bound, w_k_coefficients
 from .errors import LemmaViolationError, NotRGraphError
 from .fractional import _local_failure, _peel
 from .matching import Matching, max_weight_perfect_matching
@@ -168,17 +168,6 @@ def _audit_families(r: int, k: int, codes, sizes, sums) -> tuple[CutFamilyAudit,
     return tuple(out)
 
 
-def _tight_coefficients(r: int, step: int) -> tuple[int, int, int]:
-    """(a, b, d) with w_step(count) = (a - b*count)/d on every edge.
-
-    w_k_entry is affine in the count; w_1 = 1/r is its step-1 case with b = 0.
-    """
-    top = w_k_entry(r, step, 0)
-    slope = top - w_k_entry(r, step, 1) if step > 1 else Fraction(0)
-    d = lcm(top.denominator, slope.denominator)
-    return int(top * d), int(slope * d), d
-
-
 def audits_pass(families) -> bool:
     return families is not None and all(f.status != "violated" for f in families)
 
@@ -264,7 +253,7 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
         uncovered = g.m - len(state.covered)
         weights = [0 if e in state.covered else 1 for e in range(g.m)]
         if exact or step > 1:
-            a, b, d = _tight_coefficients(r, step)
+            a, b, d = w_k_coefficients(r, step)
             nums = [a - b * c for c in state.counts]  # w_j = nums / d
             if _local_failure(g, nums, d) is not None:
                 raise LemmaViolationError(

@@ -100,9 +100,6 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
         return local
     if g.n == 0:
         return MembershipReport(True)
-    if g.n % 2 == 1:
-        cut = OddCutResult(Fraction(0), frozenset(range(g.n)))
-        return MembershipReport(False, "odd_cut", cut, cut)
     best, witness = _min_odd_cut(g, nums)
     cut = OddCutResult(Fraction(best, den), witness)
     if best >= den:

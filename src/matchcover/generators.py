@@ -94,7 +94,7 @@ def random_regular(n: int, r: int, seed: int) -> Multigraph:
     )
 
 
-# name -> (callable, argument names); arguments are parsed as ints
+# name -> (callable, argument names), parsed as ints; a "seed" argument comes last
 _REGISTRY = {
     "petersen": (petersen, ()),
     "k4": (k4, ()),
@@ -113,8 +113,8 @@ def generator_names() -> tuple[str, ...]:
 def from_spec(spec: str, seed: int | None = None) -> Multigraph:
     """Build a graph from a generator spec string like 'prism:5' or 'petersen'.
 
-    Parameters after the colon are comma-separated integers.
-    `random_regular` takes its trailing seed parameter either inline
+    Parameters after the colon are comma-separated integers.  A generator
+    whose trailing parameter is `seed` takes it either inline
     ('random_regular:10,3,7') or from the `seed` argument, not both; a
     seed for any other generator is an error.
     """
@@ -132,9 +132,9 @@ def from_spec(spec: str, seed: int | None = None) -> Multigraph:
         args = [int(p) for p in raw]
     except ValueError:
         raise GeneratorError(f"generator parameters must be integers: {argpart!r}") from None
-    if name == "random_regular" and len(args) == 3 and seed is not None:
-        raise GeneratorError(f"seed given twice: inline {args[2]} and seed={seed}")
-    if name == "random_regular" and len(args) == 2 and seed is not None:
+    if seed is not None and len(args) == len(params):  # so "seed" is in params
+        raise GeneratorError(f"seed given twice: inline {args[-1]} and seed={seed}")
+    if seed is not None and len(args) == len(params) - 1:
         args.append(seed)
     if len(args) != len(params):
         raise GeneratorError(

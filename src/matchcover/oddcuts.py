@@ -23,9 +23,10 @@ n <= SCAN_LIMIT.
 
 Rational weights are handled exactly by scaling to a common integer
 denominator; no floats appear anywhere.  Witness sets are canonical:
-the side of the cut not containing vertex 0.  `min_odd_cut` takes the
-lexicographically least sorted vertex tuple among the minimizing
-vertex stars, else the side its last decision named.
+the side of the cut not containing vertex 0, or the whole vertex set at
+odd n.  `min_odd_cut` takes the lexicographically least sorted vertex
+tuple among the minimizing vertex stars, else the side its last
+decision named.
 """
 
 from __future__ import annotations
@@ -189,14 +190,17 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
 
 
 def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
-    """The minimum odd cut value of g under nums (even n >= 2) and its witness.
+    """The minimum odd cut value of g under nums (n >= 1) and its witness.
 
-    Every vertex star is an odd cut, so the lightest star (lex-least
-    canonical side on ties) bounds the minimum from above.  The decision
-    at that bound, then bisection on it, find the exact value; each side
-    a decision returns is a lighter cut and becomes the witness.  At
-    most best.bit_length() + 1 decisions, for the star value best.
+    For odd n it is 0, at the whole vertex set.  Else every vertex star
+    is an odd cut, so the lightest star (lex-least canonical side on
+    ties) bounds the minimum from above.  The decision at that bound,
+    then bisection on it, find the exact value; each side a decision
+    returns is a lighter cut and becomes the witness.  At most
+    best.bit_length() + 1 decisions, for the star value best.
     """
+    if g.n % 2:
+        return 0, frozenset(range(g.n))
     wdeg = [0] * g.n
     for (u, v), x in zip(g.edges, nums):
         wdeg[u] += x
@@ -254,10 +258,13 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
     maximum flow are the least source side of a minimum cut, so a
     carried flow returns the side a fresh one would.  A split leaves t's
     excess in a contracted node, so the buffer starts again from cap.
+    For odd n the whole vertex set is an odd side of empty boundary.
     """
-    if bound <= 0:
-        return None
     n = g.n
+    if bound <= 0 or n == 0:
+        return None
+    if n % 2:
+        return frozenset(range(n))
     head, cap, out = _flow_arcs(g, nums)
     blocks, fresh = [(list(range(n)), 0)], n
     while blocks:
@@ -367,7 +374,5 @@ def is_r_graph(g: Multigraph, r: int) -> tuple[bool, OddCutResult | None]:
         raise NotRegularError(f"graph is not {r}-regular")
     if g.n == 0:
         return True, None
-    if g.n % 2 == 1:
-        return r <= 0, OddCutResult(Fraction(0), frozenset(range(g.n)))
-    res = min_odd_cut(g, [1] * g.m)
-    return res.value >= r, res
+    best, witness = _min_odd_cut(g, [1] * g.m)
+    return best >= r, OddCutResult(Fraction(best), witness)

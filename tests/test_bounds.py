@@ -1,6 +1,7 @@
 """Closed-form coverage bounds and exact decimal rendering."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,10 +12,12 @@ from matchcover import (
     geometric_bound,
     product_bound,
     small_k_bound,
+    w_k_entry,
 )
 
 import matchcover
-from matchcover import bounds, fractional
+from matchcover import bounds, cover, fractional
+from matchcover.bounds import w_k_coefficients
 
 from helpers import BOUND_TABLE
 
@@ -29,6 +32,29 @@ def test_frozen_table_values():
 def test_usage_weight_has_one_definition():
     assert matchcover.w_k_entry is bounds.w_k_entry
     assert "w_k_entry" not in vars(fractional)  # no second route to w_k in src
+    assert cover.w_k_coefficients is bounds.w_k_coefficients
+
+
+def w_k_closed_form(r, k, count):
+    """w_k(count) as the unreduced quotient of each parity of r; w_1 = 1/r."""
+    if r % 2 == 0:
+        return F((r - 2) * k - (r - 4) - count, (r * r - 2 * r - 1) * k - (r * r - 4 * r - 1))
+    return F((r - 1) * k - (r - 3) - 2 * count, (r * r - r - 2) * k - (r * r - 3 * r - 2))
+
+
+def test_usage_coefficients_in_lowest_terms():
+    for r in range(3, 9):
+        for k in range(1, 13):
+            a, b, d = w_k_coefficients(r, k)
+            assert gcd(a, b, d) == 1 and d > 0, (r, k)
+            assert b == (k > 1), (r, k)  # w_1 = 1/r has no count term
+            for c in range(k):
+                assert F(a - b * c, d) == w_k_entry(r, k, c) == w_k_closed_form(r, k, c)
+    assert w_k_coefficients(3, 2) == (2, 1, 5)
+    with pytest.raises(ValueError, match="r must be at least 3"):
+        w_k_coefficients(2, 2)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        w_k_coefficients(3, 0)
 
 
 def test_frozen_table_decimals():

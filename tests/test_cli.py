@@ -568,10 +568,11 @@ def test_cached_parser_gives_the_bytes_of_a_fresh_parser(capsysbinary):
 
 
 def test_negative_pm_cap_is_a_usage_error(capsysbinary):
-    code, out, err = _bytes_of(capsysbinary, ["exact", "-k", "2", "--gen", "petersen",
-                                              "--pm-cap", "-3"])
-    assert (code, out) == (2, b"")
-    assert b"argument --pm-cap: expected a non-negative integer, got '-3'" in err
+    for cap in ("-3", "x"):  # below zero, and not an integer at all
+        code, out, err = _bytes_of(capsysbinary, ["exact", "-k", "2", "--gen", "petersen",
+                                                  "--pm-cap", cap])
+        assert (code, out) == (2, b"")
+        assert f"argument --pm-cap: expected a non-negative integer, got '{cap}'".encode() in err
     # zero is a cap, not an error: Petersen's six matchings pass it
     code, _, err = _bytes_of(capsysbinary, ["exact", "-k", "2", "--gen", "petersen",
                                             "--pm-cap", "0"])

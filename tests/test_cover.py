@@ -28,7 +28,8 @@ from matchcover import (
     random_regular,
 )
 from matchcover import cover, exact, fractional, matching, oddcuts
-from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families, _tight_coefficients
+from matchcover.bounds import w_k_coefficients
+from matchcover.cover import EXACT_LEMMA, FAST, MODES, _audit_families
 from matchcover.fractional import FractionalOneFactor, _local_failure
 from matchcover.matching import enumerate_perfect_matchings
 from matchcover.multigraph import Multigraph
@@ -116,13 +117,13 @@ def test_rejects_odd_order():
 @pytest.mark.parametrize("mode", MODES)
 def test_usage_vector_failing_a_local_condition_raises(monkeypatch, mode):
     # off coefficients break the vertex sums at step 2; never a quiet L0
-    real = cover._tight_coefficients
+    real = cover.w_k_coefficients
 
     def off(r, step):
         a, b, d = real(r, step)
         return a + (step > 1), b, d
 
-    monkeypatch.setattr(cover, "_tight_coefficients", off)
+    monkeypatch.setattr(cover, "w_k_coefficients", off)
     with pytest.raises(LemmaViolationError, match="step 2: usage vector fails"):
         greedy_cover(petersen(), 3, 3, mode=mode)
 
@@ -161,7 +162,7 @@ def test_exact_lemma_above_desk_scale_against_gusfield_trees(n, r):
     for step, m in enumerate(rep.matchings, 1):
         w = w_k(r, step, state.counts)
         assert verify_membership(g, w).ok
-        a, b, d = _tight_coefficients(r, step)
+        a, b, d = w_k_coefficients(r, step)
         y = [(g.n + 1) * (a - b * c) for c in state.counts]
         for e in m.edge_ids:
             y[e] -= 1
@@ -444,7 +445,7 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         w = w_k(r, step, state.counts)
         m = rnd.choice(pms)
         # the exact-lemma check on y = K*nums - chi_M against the oracles
-        a, b, d = _tight_coefficients(r, step)
+        a, b, d = w_k_coefficients(r, step)
         y = [(g.n + 1) * (a - b * c) for c in state.counts]
         for e in m.edge_ids:
             y[e] -= 1
@@ -504,7 +505,7 @@ def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
     for step, m in enumerate(rep.matchings, 1):
         w = w_k(r, step, state.counts)
         # the integer vector the cover builds is w_j; the decision settles (iii)
-        a, b, d = _tight_coefficients(r, step)
+        a, b, d = w_k_coefficients(r, step)
         nums = [a - b * c for c in state.counts]
         assert [F(x, d) for x in nums] == list(w.values)
         assert _local_failure(g, nums, d) is None

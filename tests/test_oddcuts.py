@@ -26,6 +26,7 @@ from matchcover import (
 from matchcover import fractional, generators, oddcuts
 from matchcover.oddcuts import (
     _decode,
+    _min_odd_cut,
     _odd_cuts_at_least,
     cut_values_by_code,
     is_r_graph,
@@ -483,6 +484,18 @@ def test_is_r_graph_odd_order():
         assert ok is expected
         assert res.value == 0
         assert res.witness == frozenset(range(g.n))
+
+
+def test_private_routines_answer_odd_and_empty_orders():
+    # the whole vertex set of an odd order is an odd side with empty boundary
+    c5 = Multigraph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+    k5 = Multigraph(5, tuple(itertools.combinations(range(5), 2)))
+    for g in (k5, c5, Multigraph(1, ()), Multigraph(3, ())):
+        whole = frozenset(range(g.n))
+        assert _odd_cuts_at_least(g, [1] * g.m, 1) == whole
+        assert _odd_cuts_at_least(g, [1] * g.m, 0) is None
+        assert _min_odd_cut(g, [1] * g.m) == (0, whole)
+    assert _odd_cuts_at_least(Multigraph(0, ()), [], 1) is None
 
 
 def test_is_r_graph_empty_graph():

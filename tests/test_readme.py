@@ -1,6 +1,6 @@
 """The README agrees with the code: the library quick tour runs as written
-and says what it returns, the layout names every module, and the exit codes
-name every reason."""
+and says what it returns, the layout names every module, the exit codes
+name every reason, and the golden table's size is the one stated."""
 
 import json
 import re
@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from matchcover.cli import _EXITS
+
+import test_cli_golden
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,3 +76,9 @@ def test_exit_codes_name_every_reason():
     negatives = ("not-r-graph", "bound-unmet", "no-double-cover", "audit-violation")
     assert {(1, reason) for reason in negatives} <= expected
     assert {(c, p) for c, prefixes in named.items() for p in prefixes} >= expected
+
+
+def test_golden_invocation_count():
+    text = README.read_text()
+    stated = re.search(r"`tests/test_cli_golden.py` pins .*?(\d+) invocations", text, re.DOTALL)
+    assert int(stated.group(1)) == len(test_cli_golden.CASES)
