@@ -1,14 +1,16 @@
-"""Guaranteed coverage fractions for k greedily chosen matchings.
+"""Coverage fractions for k perfect matchings of an r-graph.
 
-Three closed-form lower bounds on the fraction of edges of an r-graph
-coverable by k perfect matchings, all exact rationals:
+Three closed forms for the fraction of edges of an r-graph coverable by
+k perfect matchings, all exact rationals:
 
 * `geometric_bound`: 1 - ((r-1)/r)^k, from the crude argument that each
   step covers at least 1/r of what remains.
 * `product_bound`: the sharper product using the usage-count weights;
   this is the bound the greedy cover certifies against, and the value
   the bound table prints.
-* `small_k_bound`: a further improvement valid only for k <= 2r-1.
+* `small_k_bound`, for k <= 2r-1: the expected coverage of k of the 2r
+  matchings of a double cover, so a lower bound only under the
+  generalized Berge-Fulkerson conjecture (SMALL_K_HYPOTHESIS).
 
 `w_k_entry` is the per-edge weight used by the greedy cover: after
 k-1 matchings have been chosen, an edge used count times gets weight
@@ -33,6 +35,7 @@ from fractions import Fraction
 TABLE_RS = (3, 4, 5)  # the r and k rows and columns of bound_table
 TABLE_KS = range(2, 10)
 PLACES = 4  # the decimal places of approx_decimal
+SMALL_K_HYPOTHESIS = "generalized Berge-Fulkerson conjecture"
 
 
 def _check_rk(r: int, k: int):
@@ -96,14 +99,14 @@ def product_bound(r: int, k: int) -> Fraction:
 
 
 def small_k_bound(r: int, k: int) -> Fraction:
-    """The early-step improvement 1 - prod (2r-1-i)/(2r+1-i), for k <= 2r-1."""
+    """1 - (2r-k)(2r-1-k)/(2r(2r-1)), for k <= 2r-1.  The quotient is the
+    chance C(2r-2, k)/C(2r, k) that k random matchings of a double cover
+    miss a given edge: a floor for every r-graph only if each has one.
+    """
     _check_rk(r, k)
     if k > 2 * r - 1:
         raise ValueError(f"small-k bound only holds for k <= {2 * r - 1}, got k = {k}")
-    rest = Fraction(1)
-    for i in range(1, k + 1):
-        rest *= Fraction(2 * r - 1 - i, 2 * r + 1 - i)
-    return 1 - rest
+    return 1 - Fraction((2 * r - k) * (2 * r - 1 - k), 2 * r * (2 * r - 1))
 
 
 def bound_table() -> list[tuple[int, int, Fraction]]:

@@ -26,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import (
+    SMALL_K_HYPOTHESIS,
     TABLE_KS,
     TABLE_RS,
     approx_decimal,
@@ -317,8 +318,11 @@ def _cmd_bounds(_g, args):
     text = []
     for name, b in bounds.items():
         result[name] = format_fraction(b)
-        label = name.replace("_", "-")
-        text.append(f"{label} bound: {result[name]} ({_decimal(b)})")
+        label = name.replace("_", "-") + " bound"
+        if name == "small_k":  # a floor only for a graph with a double cover
+            result["small_k_hypothesis"] = SMALL_K_HYPOTHESIS
+            label += f", if the {SMALL_K_HYPOTHESIS} holds"
+        text.append(f"{label}: {result[name]} ({_decimal(b)})")
     return result, None, text, None
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoPerfectMatchingError, NotRegularError, UncoverableEdgeError
-from .matching import PM_CAP, Matching, enumerate_perfect_matchings
+from .matching import PM_CAP, Matching, _edge_uses, enumerate_perfect_matchings
 from .multigraph import Multigraph
 
 
@@ -213,13 +213,8 @@ def bf_double_cover(g: Multigraph, r: int, cap: int = PM_CAP) -> DoubleCoverResu
 
     if twice != full:
         return DoubleCoverResult(False, None, len(pms), nodes)
-    out: list[Matching] = []
-    for j, t, _, _ in path:
-        out.extend([pms[j]] * t)
-    per_edge = [0] * g.m
-    for mm in out:
-        for e in mm.edge_ids:
-            per_edge[e] += 1
-    if len(out) != 2 * r or any(c != 2 for c in per_edge):
+    picks = [(pms[j], t) for j, t, _, _ in path]
+    if sum(t for _, t in picks) != 2 * r or _edge_uses(g, picks) != [2] * g.m:
         raise AssertionError("double cover bookkeeping is off; internal bug")
-    return DoubleCoverResult(True, tuple(out), len(pms), nodes)
+    out = tuple(pm for pm, t in picks for _ in range(t))
+    return DoubleCoverResult(True, out, len(pms), nodes)

@@ -34,7 +34,7 @@ from .errors import (
     NoPerfectMatchingError,
     NotRegularError,
 )
-from .matching import Matching, max_weight_perfect_matching
+from .matching import Matching, _edge_uses, max_weight_perfect_matching
 from .multigraph import Multigraph
 from .oddcuts import OddCutResult, _min_odd_cut, _odd_cuts_at_least, scale_weights
 
@@ -248,13 +248,9 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
                 gains[e] -= 1
     terms.sort(key=lambda t: t[0].edge_ids)
     den = lcm(w_den, *(c.denominator for _, c in terms))
-    out, total = [0] * g.m, 0
-    for mtch, c in terms:
-        k = c.numerator * (den // c.denominator)
-        total += k
-        for e in mtch.edge_ids:
-            out[e] += k
-    if total != den or out != [x * (den // w_den) for x in w_nums]:
+    mults = [(mtch, c.numerator * (den // c.denominator)) for mtch, c in terms]
+    if (sum(k for _, k in mults) != den
+            or _edge_uses(g, mults) != [x * (den // w_den) for x in w_nums]):
         raise AssertionError("decomposition failed exact reconstruction; internal bug")
     return ConvexDecomposition(tuple(terms))
 
@@ -275,20 +271,10 @@ def multicoloring(g: Multigraph, r: int) -> Multicoloring:
     matchings cover each edge exactly p times with r*p matchings in
     total.  p is valid but not necessarily minimal.
     """
-    w = uniform(g, r)
-    dec = decompose(g, w)
+    dec = decompose(g, uniform(g, r))
     t = lcm(lcm(*(c.denominator for _, c in dec.terms)), r)
     p = t // r
-    out: list[Matching] = []
-    for mtch, coeff in dec.terms:
-        mult = int(coeff * t)
-        out.extend([mtch] * mult)
-    if len(out) != r * p:
-        raise AssertionError("multiplicity bookkeeping is off; internal bug")
-    per_edge = [0] * g.m
-    for mtch in out:
-        for e in mtch.edge_ids:
-            per_edge[e] += 1
-    if any(c != p for c in per_edge):
+    mults = [(mtch, int(coeff * t)) for mtch, coeff in dec.terms]
+    if sum(k for _, k in mults) != r * p or _edge_uses(g, mults) != [p] * g.m:
         raise AssertionError("multicover misses the exact p-fold identity; internal bug")
-    return Multicoloring(p, tuple(out))
+    return Multicoloring(p, tuple(mtch for mtch, k in mults for _ in range(k)))

@@ -9,7 +9,8 @@ the terms of `fractional`'s decompositions: one
 call of this module's own Edmonds blossom, on the edge list as given,
 with integer weights perturbed by edge id.  Their unique maximum is the
 lexicographically least maximum-weight perfect matching, so the output
-never depends on how a solver breaks ties.
+never depends on how a solver breaks ties.  `_edge_uses` counts edges
+over weighted matchings, the one check of every certificate made of them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
+
+
+def _edge_uses(g: Multigraph, terms) -> list[int]:
+    """Each edge's multiplicity in the (matching, multiplicity) pairs."""
+    uses = [0] * g.m
+    for mtch, mult in terms:
+        for e in mtch.edge_ids:
+            uses[e] += mult
+    return uses
 
 
 def enumerate_perfect_matchings(

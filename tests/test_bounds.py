@@ -1,7 +1,7 @@
 """Closed-form coverage bounds and exact decimal rendering."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -108,11 +108,15 @@ def test_small_k_dominates_product_in_range():
 
 
 def test_small_k_closed_form():
-    # the product telescopes to 1 - (2r-k)(2r-1-k) / (2r)(2r-1)
+    # the closed form is the telescoped product 1 - prod (2r-1-i)/(2r+1-i),
+    # and the expected coverage of k matchings drawn from a double cover's 2r
     for r in (3, 4, 5):
         for k in range(0, 2 * r):
-            expect = 1 - F((2 * r - k) * (2 * r - 1 - k), 2 * r * (2 * r - 1))
-            assert small_k_bound(r, k) == expect
+            rest = F(1)
+            for i in range(1, k + 1):
+                rest *= F(2 * r - 1 - i, 2 * r + 1 - i)
+            assert small_k_bound(r, k) == 1 - rest
+            assert small_k_bound(r, k) == 1 - F(comb(2 * r - 2, k), comb(2 * r, k))
 
 
 def test_bounds_monotone_in_k():

@@ -118,8 +118,15 @@ def test_bounds_single(capsys):
     assert out.splitlines() == [
         "product bound: 3/5 (=0.6)",
         "geometric bound: 5/9 (~0.5556)",
-        "small-k bound: 3/5 (=0.6)",
+        "small-k bound, if the generalized Berge-Fulkerson conjecture holds: 3/5 (=0.6)",
     ]
+    code, rep = run_json(capsys, ["bounds", "-r", "3", "-k", "2"])
+    assert code == 0
+    assert (rep["result"]["small_k"], rep["result"]["small_k_hypothesis"]) == (
+        "3/5", "generalized Berge-Fulkerson conjecture")
+    code, rep = run_json(capsys, ["bounds", "-r", "3", "-k", "6"])
+    assert code == 0 and "small_k" not in rep["result"]
+    assert "small_k_hypothesis" not in rep["result"]
 
 
 def _unlimited_str(f: Fraction) -> str:

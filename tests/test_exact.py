@@ -1,4 +1,4 @@
-"""Exhaustive coverage optimum and excessive index."""
+"""Exhaustive coverage optimum, excessive index and double-cover search."""
 
 from fractions import Fraction
 
@@ -7,10 +7,12 @@ import pytest
 from matchcover import (
     FAST,
     NoPerfectMatchingError,
+    NotRegularError,
     UncoverableEdgeError,
     bf_double_cover,
     bridge_pair,
     dipole,
+    enumerate_perfect_matchings,
     excessive_index,
     greedy_cover,
     k4,
@@ -20,6 +22,7 @@ from matchcover import (
     prism,
     random_regular,
 )
+from matchcover import exact
 from matchcover.exact import _first_subset, _pm_masks
 from matchcover.multigraph import Multigraph
 
@@ -155,6 +158,71 @@ SEARCH_CASES = [*SUBSET_CASES, ("no_perfect_matching", _cubic_without_perfect_ma
 def test_double_cover_matches_the_per_edge_search(g, r):
     res = bf_double_cover(g, r)
     assert (res.found, res.matchings, res.pm_count, res.nodes) == bf_double_cover_per_edge(g, r)
+
+
+def test_double_cover_petersen_uses_all_six():
+    res = bf_double_cover(petersen(), 3)
+    assert res.found
+    assert tuple(m.edge_ids for m in res.matchings) == PETERSEN_PMS
+    assert res.pm_count == 6
+
+
+def test_double_cover_k4_doubles_a_coloring():
+    res = bf_double_cover(k4(), 3)
+    assert res.found
+    assert tuple(m.edge_ids for m in res.matchings) == (
+        (0, 5), (0, 5), (1, 4), (1, 4), (2, 3), (2, 3),
+    )
+
+
+def test_double_cover_refutation_is_exhaustive():
+    res = bf_double_cover(bridge_pair(), 3)
+    assert not res.found
+    assert res.matchings is None
+    assert res.pm_count == 4
+
+
+def test_double_cover_search_runs_past_the_recursion_limit():
+    # 3576 perfect matchings: a path longer than the default stack allows
+    res = bf_double_cover(random_regular(16, 6, 7), 6)
+    assert res.found
+    assert res.pm_count == 3576
+    assert res.nodes == 3493
+
+
+def test_double_cover_validation():
+    with pytest.raises(ValueError):
+        bf_double_cover(Multigraph(0, ()), 3)
+    with pytest.raises(NotRegularError):
+        bf_double_cover(petersen(), 4)
+
+
+def test_double_cover_exists_across_corpus():
+    for name, g, r in corpus():
+        if g.n > 10 or len(enumerate_perfect_matchings(g)) > 40:
+            continue  # keep the exhaustive search cheap
+        res = bf_double_cover(g, r)
+        assert res.found, name
+        per_edge = [0] * g.m
+        for m in res.matchings:
+            for e in m.edge_ids:
+                per_edge[e] += 1
+        assert per_edge == [2] * g.m, name
+        assert len(res.matchings) == 2 * r, name
+
+
+def test_double_cover_checks_its_bookkeeping(monkeypatch):
+    # the search runs on the true masks, but the cover read off them names
+    # matching 1 where matching 0 belongs
+    real = exact._pm_masks
+
+    def swapped(g, cap):
+        pms, masks, suf = real(g, cap)
+        return (pms[1],) + pms[1:], masks, suf
+
+    monkeypatch.setattr(exact, "_pm_masks", swapped)
+    with pytest.raises(AssertionError, match="double cover bookkeeping is off"):
+        bf_double_cover(petersen(), 3)
 
 
 @pytest.mark.parametrize("g", [c[1] for c in SUBSET_CASES],

@@ -13,7 +13,6 @@ from matchcover import (
     Matching,
     MembershipFailure,
     NotRegularError,
-    bf_double_cover,
     bridge_pair,
     decompose,
     dipole,
@@ -469,6 +468,19 @@ def test_decompose_checks_its_reconstruction(monkeypatch):
     assert len(calls) > 1  # the peel went on past the wrong step
 
 
+def test_multicoloring_checks_its_p_fold_identity(monkeypatch):
+    # a decomposition one term short: the multiplicities still come out
+    # whole, but they cover neither r*p matchings nor every edge p times
+    real = fractional.decompose
+
+    def drop_a_term(g, w):
+        return fractional.ConvexDecomposition(real(g, w).terms[:-1])
+
+    monkeypatch.setattr(fractional, "decompose", drop_a_term)
+    with pytest.raises(AssertionError, match="multicover misses the exact p-fold identity"):
+        multicoloring(petersen(), 3)
+
+
 def test_decompose_and_multicoloring_neither_enumerate_nor_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decompose enumerated perfect matchings or ran the simplex")
@@ -560,54 +572,3 @@ def test_decompositions_pinned_at_scale(n, r, seed):
         hashlib.sha256(repr(v).encode()).hexdigest() for v in (terms, colors)
     )
     assert digests == DECOMPOSITION_PINS[(n, r, seed)]
-
-
-def test_double_cover_petersen_uses_all_six():
-    res = bf_double_cover(petersen(), 3)
-    assert res.found
-    assert tuple(m.edge_ids for m in res.matchings) == PETERSEN_PMS
-    assert res.pm_count == 6
-
-
-def test_double_cover_k4_doubles_a_coloring():
-    res = bf_double_cover(k4(), 3)
-    assert res.found
-    assert tuple(m.edge_ids for m in res.matchings) == (
-        (0, 5), (0, 5), (1, 4), (1, 4), (2, 3), (2, 3),
-    )
-
-
-def test_double_cover_refutation_is_exhaustive():
-    res = bf_double_cover(bridge_pair(), 3)
-    assert not res.found
-    assert res.matchings is None
-    assert res.pm_count == 4
-
-
-def test_double_cover_search_runs_past_the_recursion_limit():
-    # 3576 perfect matchings: a path longer than the default stack allows
-    res = bf_double_cover(random_regular(16, 6, 7), 6)
-    assert res.found
-    assert res.pm_count == 3576
-    assert res.nodes == 3493
-
-
-def test_double_cover_validation():
-    with pytest.raises(ValueError):
-        bf_double_cover(Multigraph(0, ()), 3)
-    with pytest.raises(NotRegularError):
-        bf_double_cover(petersen(), 4)
-
-
-def test_double_cover_exists_across_corpus():
-    for name, g, r in corpus():
-        if g.n > 10 or len(enumerate_perfect_matchings(g)) > 40:
-            continue  # keep the exhaustive search cheap
-        res = bf_double_cover(g, r)
-        assert res.found, name
-        per_edge = [0] * g.m
-        for m in res.matchings:
-            for e in m.edge_ids:
-                per_edge[e] += 1
-        assert per_edge == [2] * g.m, name
-        assert len(res.matchings) == 2 * r, name

@@ -26,7 +26,7 @@ from matchcover import (
     petersen,
     prism,
 )
-from matchcover.matching import _blossom
+from matchcover.matching import _blossom, _edge_uses
 
 from helpers import (
     CORPUS_IDS,
@@ -48,6 +48,15 @@ def test_matching_normalizes_and_measures():
     m = Matching((9, 5, 7))
     assert m.edge_ids == (5, 7, 9)
     assert len(m) == 3
+
+
+def test_edge_uses_counts_multiplicities():
+    # edges 0 and 1 are parallel, and each matching comes with a multiplicity
+    g = Multigraph(4, ((0, 1), (0, 1), (2, 3), (1, 2), (0, 3)))
+    terms = [(Matching((0, 2)), 2), (Matching((1, 2)), 3), (Matching((3, 4)), 1),
+             (Matching((0, 2)), 4)]
+    assert _edge_uses(g, terms) == [6, 3, 9, 1, 1]
+    assert _edge_uses(g, []) == [0] * 5
 
 
 def test_covered_vertices():

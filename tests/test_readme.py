@@ -1,13 +1,15 @@
 """The README agrees with the code: the library quick tour runs as written
-and says what it returns, the layout names every module, the exit codes
-name every reason, and the golden table's size is the one stated."""
+and says what it returns, the CLI transcripts print what they show, the
+layout names every module, the exit codes name every reason, and the
+golden table's size is the one stated."""
 
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from matchcover.cli import _EXITS
+from matchcover.cli import _EXITS, main
 
 import test_cli_golden
 
@@ -42,6 +44,24 @@ def test_quick_tour_runs_and_matches_its_comments():
     g = ns["g"]
     assert ns["m_exact"](g, 3).fraction == Fraction(4, 5)
     assert ns["excessive_index"](g).value == 5
+
+
+def test_cli_transcripts_print_what_they_show(capsys):
+    """Every `$ matchcover ...` line of a fenced block runs through the CLI,
+    exits 0 and prints the lines below it, up to a blank line; a
+    transcript that shows no output (`bounds --table`) only has to exit 0."""
+    text = README.read_text()
+    blocks = re.split(r"^```.*\n", text, flags=re.MULTILINE)[1::2]
+    transcripts = [t for block in blocks
+                   for t in re.findall(r"^\$ matchcover (.*)\n((?:[^$\n].*\n)*)",
+                                       block, re.MULTILINE)]
+    assert len(transcripts) == text.count("$ matchcover ")
+    for command, shown in transcripts:
+        code = main(shlex.split(command))
+        out = capsys.readouterr().out
+        assert code == 0, command
+        if shown:
+            assert out == shown, command
 
 
 def test_layout_names_every_module():
