@@ -86,7 +86,7 @@ def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport
     """Check conditions (i), (ii), (iii) and report the first failure.
 
     All three run on the entries scaled to one integer denominator.
-    (iii) reports the minimum odd cut (`oddcuts.min_odd_cut`), which
+    (iii) reports the minimum odd cut (`oddcuts._min_odd_cut`), which
     scales past brute-force sizes.  By (ii) every vertex star is an odd
     cut of value 1, so a member reports the cut value 1 at {1}, after
     one flow decision.  An odd vertex count fails (iii) outright: the
@@ -112,8 +112,12 @@ def _local_failure(g: Multigraph, nums: list[int], den: int) -> MembershipReport
     for e, x in enumerate(nums):
         if not 0 <= x <= den:
             return MembershipReport(False, "edge_range", e)
-    for vtx in range(g.n):
-        if sum(nums[e] for e in g.incident(vtx)) != den:
+    star = [0] * g.n
+    for (u, v), x in zip(g.edges, nums):
+        star[u] += x
+        star[v] += x
+    for vtx, x in enumerate(star):
+        if x != den:
             return MembershipReport(False, "vertex_sum", vtx)
     return None
 

@@ -148,22 +148,24 @@ def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
         fr = [_exact(w) for w in ws]
         low = min(fr, default=0)
         nums, _ = scale_weights([f - low for f in fr], m)
-    ends = [x for uv in g.edges for x in uv]
-    mate = _blossom(g.n, ends, [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(nums)])
+    mate = _blossom(*g._arcs, [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(nums)])
     if mate is None:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    return Matching(tuple(mate[v] >> 1 for v in range(g.n) if v < ends[mate[v]]))
+    # edges run small end first, so mate[u] is odd at the small end u only
+    return Matching(tuple(p >> 1 for p in mate if p & 1))
 
 
-def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
+def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
     """Maximum-weight perfect matching by Edmonds' primal-dual blossom method.
 
-    Edge k of a loopless multigraph on vertices 0..n-1 joins ends[2k]
-    and ends[2k+1] with integer weight weight[k]; endpoint p of edge
-    p >> 1 sits at ends[p], and p ^ 1 is its far end.  Parallel edges
-    need no care: each is scanned on its own.  Returns mate, where
-    ends[mate[v]] is v's partner and mate[v] >> 1 the matched edge, or
-    None when no perfect matching exists.
+    Edge k of a loopless multigraph on vertices 0..n-1, n = len(adj),
+    joins ends[2k] and ends[2k+1] with integer weight weight[k];
+    endpoint p of edge p >> 1 sits at ends[p], and p ^ 1 is its far
+    end.  adj[v] lists the endpoints p with ends[p ^ 1] == v, as
+    `multigraph._arc_index` builds them.  Parallel edges need no care:
+    each is scanned on its own.  Returns mate, where ends[mate[v]] is
+    v's partner and mate[v] >> 1 the matched edge, or None when no
+    perfect matching exists.
 
     One augmentation per stage.  Edge excesses dual[u] + dual[v] - 4w
     are read off the vertex duals, never cached.  Each dual step takes
@@ -181,23 +183,34 @@ def _blossom(n: int, ends: list[int], weight: list[int]) -> list[int] | None:
     through explicit work lists, so nesting depth never meets the
     recursion limit.
     """
+    n = len(adj)
     w4 = [w << 2 for w in weight]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for p in range(len(ends)):
-        adj[ends[p ^ 1]].append(p)
-    if any(not a for a in adj):
+    if not all(adj):
         return None
-    # even starting duals, each lowered until one of its edges is tight;
-    # a tight edge between two single vertices starts the matching
-    dual = [max(w4[p >> 1] for p in a) >> 1 for a in adj] + [0] * n
+    # even starting duals, half of each vertex's heaviest edge, each
+    # lowered until one of its edges is tight; the first tight edge to a
+    # single vertex starts the matching
+    top = [min(w4, default=0)] * n
+    for u, v, x in zip(ends[::2], ends[1::2], w4):
+        if top[u] < x:
+            top[u] = x
+        if top[v] < x:
+            top[v] = x
+    dual = [x >> 1 for x in top] + [0] * n
     mate = [-1] * n
     for v in range(n):
         if mate[v] == -1:
-            dv = dual[v] = max(w4[p >> 1] - dual[ends[p]] for p in adj[v])
+            dv, pick = None, -1
             for p in adj[v]:
-                if mate[ends[p]] == -1 and w4[p >> 1] - dual[ends[p]] == dv:
-                    mate[v], mate[ends[p]] = p, p ^ 1
-                    break
+                u = ends[p]
+                x = w4[p >> 1] - dual[u]
+                if dv is None or x > dv:
+                    dv, pick = x, p if mate[u] == -1 else -1
+                elif x == dv and pick == -1 and mate[u] == -1:
+                    pick = p
+            dual[v] = dv
+            if pick != -1:
+                mate[v], mate[ends[pick]] = pick, pick ^ 1
     if -1 not in mate:
         return mate
 

@@ -14,13 +14,31 @@ The edge-list text format:
 Vertices are 0..n-1.  Serialization emits the same format back with
 edges in id order and endpoints written small-first, so a parse of a
 serialize is the identity.
+
+Each graph builds one arc index, on first use, for every routine that
+walks it: edge k joins ends[2k] and ends[2k+1], arc p of edge p >> 1
+leads to ends[p] from ends[p ^ 1], and a vertex lists its arcs in
+edge-id order.  The blossom and the odd-cut flows of every call on the
+graph read it; it holds structure only, never a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EdgeListError
+
+
+def _arc_index(n: int, edges) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(ends, out) of a loopless edge list on vertices 0..n-1: ends[2k]
+    and ends[2k+1] are the endpoints of edge k, and out[v] lists, in
+    edge-id order, the arcs p with ends[p ^ 1] == v."""
+    ends = tuple(x for uv in edges for x in uv)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for p in range(len(ends)):
+        out[ends[p ^ 1]].append(p)
+    return ends, tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -29,38 +47,34 @@ class Multigraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _incident: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = []
-        inc = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"edge {i} is a loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            norm.append((u, v))
-            inc[u].append(i)
-            inc[v].append(i)
+            norm.append((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "_incident", tuple(tuple(x) for x in inc))
+
+    @cached_property
+    def _arcs(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The graph's arc index (ends, out), built once (see `_arc_index`)."""
+        return _arc_index(self.n, self.edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self._incident[v])
+        return len(self._arcs[1][v])
 
     def incident(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to v, ascending."""
-        return self._incident[v]
+        return tuple(p >> 1 for p in self._arcs[1][v])
 
     def boundary(self, s) -> frozenset[int]:
         """Edge ids with exactly one endpoint in the vertex set s."""
@@ -76,7 +90,7 @@ class Multigraph:
         """True when every vertex has degree exactly r (vacuously true for n=0)."""
         if r < 0:
             raise ValueError("degree must be nonnegative")
-        return all(len(inc) == r for inc in self._incident)
+        return all(len(arcs) == r for arcs in self._arcs[1])
 
 
 def parse_edge_list(text: str) -> Multigraph:

@@ -5,16 +5,17 @@ An odd cut is boundary(S) for a vertex set S of odd cardinality.
 Gomory-Hu contraction with flows stopped at the bound (1961); its
 private form also names an odd side below the bound.  The flows of one
 contraction block augment one residual buffer, carried from each merge
-to the next flow and reset on a split.  `min_odd_cut`
-is the one production route to the minimum: every vertex star is an
-odd cut, so it bisects on the decision below the lightest star.  The
-greedy cover, `random_regular`, `is_r_graph` (the CLI's `check`) and
-`verify_membership` all go through the decision; exact-lemma covers
-and decompositions take the side it names as a cutting plane, and a
-decomposition's first passing decision proves membership, so it calls
-`verify_membership` only for a non-member's report.  Scales
-to every size this package targets.  The tests check it against an
-exhaustive scan of every odd subset.
+to the next flow and reset on a split.  Every flow runs on the graph's
+arc index (`Multigraph._arcs`); a decision only sets the capacities.
+`_min_odd_cut` is the one production route to the minimum: every
+vertex star is an odd cut, so it bisects on the decision below the
+lightest star.  The greedy cover, `random_regular`, `is_r_graph` (the
+CLI's `check`) and `verify_membership` all go through the decision;
+exact-lemma covers and decompositions take the side it names as a
+cutting plane, and a decomposition's first passing decision proves
+membership, so it calls `verify_membership` only for a non-member's
+report.  Scales to every size this package targets.  The tests check
+it against an exhaustive scan of every odd subset.
 
 `tight_odd_cuts` and `odd_cut_crossings`, the cover's per-run audit
 matrix, read every subset's exact cut value off `cut_values_by_code`,
@@ -218,18 +219,6 @@ def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
     return best, witness
 
 
-def _flow_arcs(g: Multigraph, nums: list[int]):
-    """Arcs (head, cap, out) of g's positive edges: arc a and its reverse
-    a ^ 1 carry one edge each way, parallel edges in pairs of their own."""
-    pos = [(uv, x) for uv, x in zip(g.edges, nums) if x > 0]
-    head = [x for (a, b), _ in pos for x in (b, a)]
-    cap = [x for _, x in pos for _ in (0, 1)]
-    out = [[] for _ in range(g.n)]
-    for arc in range(len(head)):
-        out[head[arc ^ 1]].append(arc)
-    return head, cap, out
-
-
 def odd_cuts_at_least(g: Multigraph, weights, bound) -> bool:
     """Whether every odd cut of g weighs at least `bound` (even n >= 2)."""
     _require_even(g)
@@ -265,33 +254,37 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
         return None
     if n % 2:
         return frozenset(range(n))
-    head, cap, out = _flow_arcs(g, nums)
-    blocks, fresh = [(list(range(n)), 0)], n
+    head, out = g._arcs
+    cap = [0] * len(head)
+    cap[::2] = cap[1::2] = nums
+    seen, pred = [None] * n, [0] * n  # _sink_side's search marks
+    blocks, fresh = [(list(range(n)), 0, n)], n
     while blocks:
-        lab, hub = blocks.pop()
+        lab, hub, left = blocks.pop()
+        left -= 1  # own vertices not yet merged into the hub
         res = cap[:]
         groups: dict[int, list[int]] = {}
-        for v in range(n):
-            if lab[v] >= n:
-                groups.setdefault(lab[v], []).append(v)
+        if fresh > n:  # the first block has no contracted nodes
+            for v in range(n):
+                if lab[v] >= n:
+                    groups.setdefault(lab[v], []).append(v)
         conn, heap = [0] * n, []  # weight from the hub to each own vertex
 
         def absorb(x):
             for a in out[x]:
                 y = head[a]
-                if lab[y] == y != hub:
+                if lab[y] == y != hub and cap[a]:
                     conn[y] += cap[a]
                     heapq.heappush(heap, (-conn[y], y))
 
         absorb(hub)
-        left = sum(lab[v] == v for v in range(n)) - 1
         while left:
             while heap and (lab[heap[0][1]] != heap[0][1] or -heap[0][0] != conn[heap[0][1]]):
                 heapq.heappop(heap)
             t = heap[0][1] if heap else next(v for v in range(n) if lab[v] == v != hub)
             side = None
             if conn[t] < bound:
-                side = _sink_side(head, res, out, lab, groups, hub, t, bound)
+                side = _sink_side(head, res, out, lab, groups, hub, t, bound, seen, pred)
             if side is None:
                 lab[t] = hub
                 absorb(t)
@@ -307,17 +300,19 @@ def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[
             fresh, left = fresh + 2, left - own
             res = cap[:]
             if own > 1:
-                blocks.append((t_lab, t))
+                blocks.append((t_lab, t, own))
     return None
 
 
-def _sink_side(head, res, out, lab, groups, hub: int, t: int, bound: int):
+def _sink_side(head, res, out, lab, groups, hub: int, t: int, bound: int, seen, pred):
     """None if an Edmonds-Karp flow from t into the vertices labelled hub
     reaches bound, else the vertices t reaches in the residual graph of a
     maximum flow: the same for every maximum flow.  Augments the residual
     capacities res in place, from whatever flow they hold, which must
     have no excess outside the hub.  A path enters a contracted node
-    anywhere and leaves it from any vertex."""
+    anywhere and leaves it from any vertex.  Each search marks the
+    vertices it reaches with a token of its own in seen, and the arc
+    that reached them in pred, so neither is cleared between searches."""
     n = len(lab)
     flow = 0
     for a in out[t]:
@@ -325,21 +320,22 @@ def _sink_side(head, res, out, lab, groups, hub: int, t: int, bound: int):
             flow += res[a]
             res[a ^ 1], res[a] = res[a ^ 1] + res[a], 0
     while flow < bound:
-        pred, queue, end = [-1] * n, [t], -1
-        pred[t] = -2
+        queue, end = [t], -1
+        seen[t] = mark = object()
         for x in queue:
             for a in out[x]:
                 if res[a]:
                     y = head[a]
-                    if pred[y] == -1:
-                        pred[y], node = a, lab[y]
+                    if seen[y] is not mark:
+                        seen[y], pred[y], node = mark, a, lab[y]
                         if node == hub:
                             end = y
                             break
                         queue.append(y)
                         if node >= n:
                             for z in groups[node]:
-                                if pred[z] == -1:
+                                if seen[z] is not mark:
+                                    seen[z] = mark
                                     pred[z] = a  # the path enters z's node by arc a
                                     queue.append(z)
             if end >= 0:

@@ -27,6 +27,7 @@ from matchcover import (
     prism,
 )
 from matchcover.matching import _blossom, _edge_uses
+from matchcover.multigraph import _arc_index
 
 from helpers import (
     CORPUS_IDS,
@@ -410,8 +411,9 @@ BLOSSOM_BRANCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOSSOM_BRANCH_CASES))
 def test_blossom_expansions_with_tied_weights(case):
     n, edges, weight = BLOSSOM_BRANCH_CASES[case]
-    g, ends = Multigraph(n, tuple(edges)), [x for uv in edges for x in uv]
-    mate = _blossom(n, ends, weight)
+    g, (ends, adj) = Multigraph(n, tuple(edges)), _arc_index(n, edges)
+    assert ends == tuple(x for uv in edges for x in uv)  # endpoints as listed
+    mate = _blossom(ends, adj, weight)
     assert all(ends[mate[v] ^ 1] == v for v in range(n))
     got = Matching(tuple({p >> 1 for p in mate}))
     assert is_perfect_matching(g, got)

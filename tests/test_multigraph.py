@@ -5,10 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchcover import (
-    EdgeListError, GeneratorError, Multigraph, dipole, k4, parse_edge_list, random_regular,
-    serialize,
+    EdgeListError, GeneratorError, Multigraph, decompose, dipole, greedy_cover, k4,
+    parse_edge_list, random_regular, serialize, uniform,
 )
-from matchcover import generators
+from matchcover import generators, matching, multigraph, oddcuts
 from matchcover.generators import from_spec
 
 from helpers import corpus
@@ -163,3 +163,64 @@ def test_graphs_are_hashable_and_comparable():
     assert k4() == k4()
     assert hash(k4()) == hash(k4())
     assert k4() != dipole(3)
+
+
+# dipole(3) with a pendant path 1-2-3, endpoints given in both orders
+DIPOLE_PATH = Multigraph(4, ((1, 0), (0, 1), (1, 0), (2, 1), (2, 3)))
+
+
+def test_arc_index_lists_each_edge_once_per_end():
+    g = DIPOLE_PATH
+    ends, out = g._arcs
+    assert ends == (0, 1, 0, 1, 0, 1, 1, 2, 2, 3)
+    assert out == ((1, 3, 5), (0, 2, 4, 7), (6, 9), (8,))
+    for v in range(g.n):
+        ids = [p >> 1 for p in out[v]]
+        assert ids == sorted(ids) == list(g.incident(v))
+        assert all(ends[p ^ 1] == v for p in out[v])
+    for e, (u, v) in enumerate(g.edges):
+        assert [p >> 1 for p in out[u]].count(e) == 1
+        assert [p >> 1 for p in out[v]].count(e) == 1
+    for a in range(2 * g.m):
+        # arc a and a ^ 1 run the two ways along edge a >> 1
+        assert (ends[a ^ 1], ends[a]) in (g.edges[a >> 1], g.edges[a >> 1][::-1])
+        assert ends[a] != ends[a ^ 1] and a in out[ends[a ^ 1]] and a ^ 1 in out[ends[a]]
+    assert g.degree(3) == 1 and g.is_regular(3) is False
+
+
+def test_arc_index_leaves_equality_and_parsing_alone():
+    built, bare = DIPOLE_PATH, Multigraph(4, DIPOLE_PATH.edges)
+    assert "_arcs" in vars(built) and "_arcs" not in vars(bare)
+    assert built == bare and hash(built) == hash(bare)
+    assert repr(built) == repr(bare)
+    assert parse_edge_list(serialize(built))._arcs == built._arcs
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call records its first argument."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_index_build_serves_a_whole_cover(monkeypatch):
+    h = random_regular(40, 3, 1)
+    builds = _count_calls(monkeypatch, multigraph, "_arc_index")
+    blossoms = _count_calls(monkeypatch, matching, "_blossom")
+    flows = _count_calls(monkeypatch, oddcuts, "_sink_side")
+    greedy_cover(Multigraph(h.n, h.edges), 3, 8)
+    assert builds == [40]
+    assert len(blossoms) >= 2 and len(flows) >= 2
+
+
+def test_one_index_build_serves_a_whole_decomposition(monkeypatch):
+    h = random_regular(12, 3, 1)
+    builds = _count_calls(monkeypatch, multigraph, "_arc_index")
+    g = Multigraph(h.n, h.edges)
+    assert len(decompose(g, uniform(g, 3)).terms) >= 2
+    assert builds == [12]
