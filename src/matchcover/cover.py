@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import product_bound, w_k_coefficients
 from .errors import LemmaViolationError, NotRGraphError
 from .fractional import _local_failure, _peel
@@ -74,27 +76,27 @@ MODES = (FAST, EXACT_LEMMA)
 
 @dataclass(frozen=True)
 class CoverState:
-    """Progress of a cover run: matchings chosen, per-edge usage, covered ids."""
+    """Progress of a cover run: the matchings chosen and each edge's usage
+    count, the one record of use; an edge is covered when its count is
+    positive."""
 
     graph: Multigraph
     matchings: tuple[Matching, ...]
     counts: tuple[int, ...]
-    covered: frozenset[int]
 
     @staticmethod
     def initial(g: Multigraph) -> "CoverState":
-        return CoverState(g, (), (0,) * g.m, frozenset())
+        return CoverState(g, (), (0,) * g.m)
+
+    @property
+    def covered(self) -> frozenset[int]:
+        return frozenset(e for e, c in enumerate(self.counts) if c)
 
     def extend(self, m: Matching) -> "CoverState":
         counts = list(self.counts)
         for e in m.edge_ids:
             counts[e] += 1
-        return CoverState(
-            self.graph,
-            self.matchings + (m,),
-            tuple(counts),
-            self.covered | frozenset(m.edge_ids),
-        )
+        return CoverState(self.graph, self.matchings + (m,), tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,10 @@ def audit_cut_invariants(state: CoverState, r: int) -> tuple[CutFamilyAudit, ...
     g = state.graph
     if g.n % 2 != 0 or g.n < 2:
         raise ValueError("cut audit requires an even vertex count of at least 2")
-    codes, odd = odd_subset_codes(g.n)
+    codes = np.flatnonzero(odd_subset_codes(g.n))
     sizes = cut_values_by_code(g, [1] * g.m)
     sums = cut_values_by_code(g, list(state.counts))
-    return _audit_families(r, len(state.matchings), codes[odd], sizes[odd], sums[odd])
+    return _audit_families(r, len(state.matchings), codes, sizes[codes], sums[codes])
 
 
 def _audit_families(r: int, k: int, codes, sizes, sums) -> tuple[CutFamilyAudit, ...]:
@@ -250,27 +252,25 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     for step in range(1, k + 1):
-        uncovered = g.m - len(state.covered)
-        weights = [0 if e in state.covered else 1 for e in range(g.m)]
-        if exact or step > 1:
-            a, b, d = w_k_coefficients(r, step)
-            nums = [a - b * c for c in state.counts]  # w_j = nums / d
-            if _local_failure(g, nums, d) is not None:
-                raise LemmaViolationError(
-                    f"step {step}: usage vector fails (i) or (ii) (internal bug)"
-                )
-        if exact:
-            chosen = _peel(g, nums, d, weights, set(), Fraction(1, (g.n + 1) * d),
+        gains = [0 if c else 1 for c in state.counts]  # 1 on an uncovered edge
+        uncovered = sum(gains)
+        a, b, d = w_k_coefficients(r, step)
+        nums = [a - b * c for c in state.counts]  # w_j = nums / d
+        if _local_failure(g, nums, d) is not None:
+            raise LemmaViolationError(
+                f"step {step}: usage vector fails (i) or (ii) (internal bug)"
+            )
+        if exact:  # _peel penalises its gains in place
+            chosen = _peel(g, nums, d, gains[:], set(), Fraction(1, (g.n + 1) * d),
                            f"exact-lemma step {step}: usage vector")[0]
-            verified = tight_honored = True
+            verified = True
         else:
             verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None
             if certs and certs[-1].stalled:  # same weights as the last step
                 chosen = state.matchings[-1]
             else:
-                chosen = max_weight_perfect_matching(g, weights)
-            tight_honored = None
-        best_gain = sum(1 for e in chosen.edge_ids if e not in state.covered)
+                chosen = max_weight_perfect_matching(g, gains)
+        best_gain = sum(gains[e] for e in chosen.edge_ids)
         if verified:
             level = "L1"
             predicted = Fraction(a * uncovered, d)
@@ -292,15 +292,15 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
                 step=step,
                 level=level,
                 membership_verified=verified,
-                tight_honored=tight_honored,
+                tight_honored=exact or None,
                 predicted_gain=predicted,
                 actual_gain=best_gain,
-                covered_after=len(state.covered),
+                covered_after=g.m - uncovered + best_gain,
                 stalled=best_gain == 0,
                 audit=audit,
             )
         )
-    fraction = Fraction(len(state.covered), g.m)
+    fraction = Fraction(certs[-1].covered_after, g.m)
     bound = product_bound(r, k)
     return CoverReport(
         r=r,

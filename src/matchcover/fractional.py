@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matching import Matching, _edge_uses, max_weight_perfect_matching
 from .multigraph import Multigraph
-from .oddcuts import OddCutResult, _min_odd_cut, _odd_cuts_at_least, scale_weights
+from .oddcuts import OddCutResult, _min_odd_cut, _odd_cuts_at_least, _stars, scale_weights
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,7 @@ def _local_failure(g: Multigraph, nums: list[int], den: int) -> MembershipReport
     for e, x in enumerate(nums):
         if not 0 <= x <= den:
             return MembershipReport(False, "edge_range", e)
-    star = [0] * g.n
-    for (u, v), x in zip(g.edges, nums):
-        star[u] += x
-        star[v] += x
-    for vtx, x in enumerate(star):
+    for vtx, x in enumerate(_stars(g, nums)):
         if x != den:
             return MembershipReport(False, "vertex_sum", vtx)
     return None

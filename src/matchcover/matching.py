@@ -5,21 +5,22 @@ needed.  `enumerate_perfect_matchings` lists every perfect matching
 (complete, deterministic, capped); the exhaustive searches of `exact`
 (`m_exact`, `excessive_index`, `bf_double_cover`) start from it.
 `max_weight_perfect_matching` selects the greedy cover's matchings and
-the terms of `fractional`'s decompositions: one
-call of this module's own Edmonds blossom, on the edge list as given,
-with integer weights perturbed by edge id.  Their unique maximum is the
-lexicographically least maximum-weight perfect matching, so the output
-never depends on how a solver breaks ties.  `_edge_uses` counts edges
+the terms of `fractional`'s decompositions: one call of this module's
+own Edmonds blossom, on the edge list as given, with the weights scaled
+to signed integers and perturbed by edge id.  Their unique maximum is
+the lexicographically least maximum-weight perfect matching, so the
+output never depends on how a solver breaks ties.  `_edge_uses` counts edges
 over weighted matchings, the one check of every certificate made of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceededError, NoPerfectMatchingError
 from .multigraph import Multigraph
-from .oddcuts import _exact, scale_weights
 
 PM_CAP = 100_000  # default limit of every perfect-matching enumeration
 
@@ -125,30 +126,26 @@ def enumerate_perfect_matchings(
 def max_weight_perfect_matching(g: Multigraph, weights) -> Matching:
     """The lexicographically least maximum-weight perfect matching.
 
-    One exact blossom call on W_e = w_e*2^m + 2^(m-1-e), where w is the
-    weight vector shifted to be nonnegative (every perfect matching has
-    n/2 edges, so the shift keeps the order) and scaled to integers; a
-    vector of ints only is shifted and goes straight to the blossom.
-    The perturbations of a matching sum to less than 2^m, so they never
-    reorder matchings of different weight; among equal weights they
-    favour the largest edge-indicator vector read from edge 0, which for
-    equal-size edge sets is the least sorted id tuple.  Distinct edge
-    sets get distinct perturbations, so the maximum is unique.  The
-    blossom gets every edge, parallel ones too, so its edge k is edge
-    id k.  Raises NoPerfectMatchingError when no perfect matching exists
-    (odd n included).
+    One exact blossom call on W_e = x_e*2^m + 2^(m-1-e), where x is the
+    weight vector, any rationals, scaled to signed integers over one
+    common denominator.  The perturbations of a matching sum to less
+    than 2^m, so they never reorder matchings of different weight; among
+    equal weights they favour the largest edge-indicator vector read
+    from edge 0, which for equal-size edge sets is the least sorted id
+    tuple.  Distinct edge sets get distinct perturbations, so the
+    maximum is unique.  The blossom gets every edge, parallel ones too,
+    so its edge k is edge id k.  Raises ValueError unless there is one
+    weight per edge, and NoPerfectMatchingError when no perfect matching
+    exists (odd n included).
     """
     if g.n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    m, ws = g.m, list(weights)
-    if len(ws) == m and all(type(w) is int for w in ws):
-        low = min(ws, default=0)
-        nums = [w - low for w in ws]
-    else:
-        fr = [_exact(w) for w in ws]
-        low = min(fr, default=0)
-        nums, _ = scale_weights([f - low for f in fr], m)
-    mate = _blossom(*g._arcs, [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(nums)])
+    m, ws = g.m, [w if type(w) is int else Fraction(w) for w in weights]
+    if len(ws) != m:
+        raise ValueError(f"expected {m} weights, got {len(ws)}")
+    den = lcm(*{w.denominator for w in ws})
+    mate = _blossom(*g._arcs, [(w.numerator * (den // w.denominator) << m) + (1 << (m - 1 - e))
+                               for e, w in enumerate(ws)])
     if mate is None:
         raise NoPerfectMatchingError("graph has no perfect matching")
     # edges run small end first, so mate[u] is odd at the small end u only

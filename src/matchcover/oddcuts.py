@@ -61,7 +61,7 @@ def scale_weights(weights, m: int) -> tuple[list[int], int]:
     Weights must be nonnegative rationals (Fraction, int, or anything
     Fraction accepts exactly) and there must be one per edge.
     """
-    fr = [_exact(w) for w in weights]
+    fr = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in weights]
     if len(fr) != m:
         raise ValueError(f"expected {m} weights, got {len(fr)}")
     for i, f in enumerate(fr):
@@ -71,9 +71,13 @@ def scale_weights(weights, m: int) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fr], den
 
 
-def _exact(w):
-    """w itself if it is an int or a Fraction, else Fraction(w)."""
-    return w if isinstance(w, (int, Fraction)) else Fraction(w)
+def _stars(g: Multigraph, nums) -> list[int]:
+    """Each vertex's weighted degree: the sum of nums over its star."""
+    star = [0] * g.n
+    for (u, v), x in zip(g.edges, nums):
+        star[u] += x
+        star[v] += x
+    return star
 
 
 def _canonical(n: int, side) -> frozenset[int]:
@@ -95,19 +99,20 @@ def _code_count(n: int) -> int:
     return 1 << (n - 1)
 
 
-def odd_subset_codes(n: int):
-    """Subset codes and popcount-parity mask for subsets of {1..n-1}.
+def odd_subset_codes(n: int) -> np.ndarray:
+    """Popcount-parity mask over the subset codes c < 2^(n-1) of {1..n-1}.
 
     Code c encodes the set {v : bit (v-1) of c is set}; vertex 0 is
     never a member, so for even n each odd cut appears exactly once.
     The mask is built by doubling, in O(2^n): code 2^(v-1) + c adds v to
-    the set of c < 2^(v-1), so its parity is the negation of c's.
+    the set of c < 2^(v-1), so its parity is the negation of c's.  The
+    odd codes, ascending, are `np.flatnonzero` of the mask.
     """
     odd = np.zeros(_code_count(n), dtype=bool)
     for v in range(1, n):
         size = 1 << (v - 1)
         np.logical_not(odd[:size], out=odd[size : 2 * size])
-    return np.arange(len(odd), dtype=np.uint32), odd
+    return odd
 
 
 def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
@@ -119,11 +124,9 @@ def cut_values_by_code(g: Multigraph, nums: list[int]) -> np.ndarray:
     strided view per lower neighbour).  Entries are int64, or exact Python
     integers when the totals could overflow int64.
     """
-    wdeg = [0] * g.n
+    wdeg = _stars(g, nums)
     lower: list[dict[int, int]] = [{} for _ in range(g.n)]
     for (u, v), x in zip(g.edges, nums):
-        wdeg[u] += x
-        wdeg[v] += x
         if u != 0 and x != 0:
             lower[v][u] = lower[v].get(u, 0) + x
     big = sum(abs(x) for x in nums) >= 1 << 62
@@ -150,9 +153,9 @@ def tight_odd_cuts(g: Multigraph, weights) -> tuple[frozenset[int], ...]:
     """
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
-    codes, odd = odd_subset_codes(g.n)
+    codes = np.flatnonzero(odd_subset_codes(g.n))
     cut = cut_values_by_code(g, nums)
-    return tuple(sorted((_decode(c) for c in codes[odd][cut[odd] == den]), key=_lex_key))
+    return tuple(sorted((_decode(c) for c in codes[cut[codes] == den]), key=_lex_key))
 
 
 def odd_cut_crossings(g: Multigraph, family: range):
@@ -162,7 +165,7 @@ def odd_cut_crossings(g: Multigraph, family: range):
     crossings.  Sizes come from the O(2^n) doubling kernel, narrowed to
     the least dtype that holds m before filtering to keep peak memory low.
     """
-    _, odd = odd_subset_codes(g.n)
+    odd = odd_subset_codes(g.n)
     sizes = cut_values_by_code(g, [1] * g.m).astype(np.min_scalar_type(g.m))
     codes = np.flatnonzero(odd & (sizes >= family.start) & (sizes < family.stop))
     member = (codes[:, None] << 1 >> np.arange(g.n)) & 1  # vertex 0 is never a member
@@ -202,11 +205,7 @@ def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
     """
     if g.n % 2:
         return 0, frozenset(range(g.n))
-    wdeg = [0] * g.n
-    for (u, v), x in zip(g.edges, nums):
-        wdeg[u] += x
-        wdeg[v] += x
-    best, witness = min((x, _lex_key(_canonical(g.n, {v}))) for v, x in enumerate(wdeg))
+    best, witness = min((x, _lex_key(_canonical(g.n, {v}))) for v, x in enumerate(_stars(g, nums)))
     witness, low, bound = frozenset(witness), 0, best
     while low < best:
         side = _odd_cuts_at_least(g, nums, bound)

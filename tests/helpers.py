@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import gcd
 
 import networkx as nx
+import numpy as np
 from networkx.algorithms.flow import edmonds_karp
 
 from matchcover import (
@@ -574,11 +575,11 @@ def min_odd_cut_brute(g: Multigraph, weights) -> OddCutResult:
     `oddcuts.min_odd_cut`.  Requires even n >= 2 and n <= SCAN_LIMIT."""
     _require_even(g)
     nums, den = scale_weights(weights, g.m)
-    codes, odd = odd_subset_codes(g.n)
+    codes = np.flatnonzero(odd_subset_codes(g.n))
     cut = cut_values_by_code(g, nums)
-    vals = cut[odd]
+    vals = cut[codes]
     best = vals.min()
-    hit = codes[odd][cut[odd] == best]
+    hit = codes[vals == best]
     witness = min((_decode(c) for c in hit), key=_lex_key)
     return OddCutResult(Fraction(int(best), den), witness)
 

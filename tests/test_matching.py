@@ -246,6 +246,12 @@ def test_max_weight_no_matching_raises():
         max_weight_perfect_matching(Multigraph(4, ((0, 1), (0, 1))), [-1, 2])
 
 
+def test_max_weight_needs_one_weight_per_edge():
+    for extra in (1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="^expected 6 weights, got 7$"):
+            max_weight_perfect_matching(k4(), [extra] * 7)
+
+
 def test_max_weight_empty_graph():
     assert max_weight_perfect_matching(Multigraph(0, ()), []) == Matching(())
 
@@ -426,8 +432,8 @@ def _greedy_start_is_perfect(g: Multigraph, ints: list[int]) -> bool:
     id-perturbed weights (doubled), each dual starts at the heaviest
     incident weight, then each vertex in turn lowers its dual until an
     edge is tight and takes its first tight edge to an unmatched vertex."""
-    m, low = g.m, min(ints, default=0)
-    w2 = [((x - low) << (m + 1)) + (2 << (m - 1 - e)) for e, x in enumerate(ints)]
+    m = g.m
+    w2 = [(x << (m + 1)) + (2 << (m - 1 - e)) for e, x in enumerate(ints)]
     inc = [[(e, u + v - x) for e, (u, v) in enumerate(g.edges) if x in (u, v)]
            for x in range(g.n)]
     if not all(inc):
@@ -444,8 +450,8 @@ def _greedy_start_is_perfect(g: Multigraph, ints: list[int]) -> bool:
 
 
 def _same_matching_for_ints_and_fractions(g: Multigraph, ints: list[int]) -> bool:
-    # the int path, the same values as Fractions and a third of them all go
-    # to the same blossom weights; the networkx oracle solves them apart
+    # ints, the same values as Fractions and a third of them scale to the
+    # same signed blossom weights; the networkx oracle solves them apart
     got = _outcome(max_weight_perfect_matching, g, ints)
     assert got == _outcome(max_weight_perfect_matching, g, [Fraction(x) for x in ints])
     assert got == _outcome(max_weight_perfect_matching, g, [Fraction(x, 3) for x in ints])
