@@ -20,7 +20,18 @@ uncovered edge, 0 on a covered one, id-perturbed, so the pick is the
 lexicographically least maximum); nothing is enumerated.
 
 * 'fast' maximizes gain outright.  Cheap, scales, and certificate
-  levels report honestly whatever membership turns out to be.
+  levels report honestly whatever membership turns out to be.  Once
+  every edge is covered, at some step s, the rest is a stalled tail:
+  all gains are 0, and with all gains 0 or all 1 the id-perturbed
+  maximum is the same matching, as every perfect matching has n/2
+  edges, so each tail step takes step 1's matching with no blossom call.
+  (In an r-graph every edge lies in some perfect matching, so a step
+  gains nothing exactly when nothing is left uncovered.)  Tail step j
+  has counts c_s + (j - s)*chi_M, and for j >= 2 w_j has b = 1 with a
+  and d affine in j, so every odd cut's slack in (iii) is affine in j
+  and the tail steps that pass form an interval: steps s and k are
+  decided, and when both pass the steps between are L1 with no
+  decision of their own; otherwise each of them is decided.
 * 'exact-lemma' restricts each pick to matchings crossing every tight
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
@@ -179,7 +190,9 @@ class IterationCertificate:
     """What step j promised and what it delivered.
 
     membership_verified is True/False when the check ran, None when the
-    step did not evaluate it (fast mode's first step).  tight_honored
+    step did not evaluate it (fast mode's first step).  In fast mode's
+    stalled tail it is also True, with no decision of the step's own,
+    when the tail's first and last steps both pass.  tight_honored
     is True in exact-lemma mode, None when tight cuts were not
     enumerated.  audit is None beyond desk scale.
     """
@@ -235,22 +248,44 @@ def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
         )
 
 
+def _tail_verdicts(g: Multigraph, r: int, k: int, s: int, counts, m: Matching) -> dict[int, bool]:
+    """Membership verdicts of the stalled tail s..k that its ends settle.
+
+    Step s is decided on the counts, and step k (when k > s) on the
+    counts plus (k - s) uses of m.  When both pass, every step between
+    passes too (module docstring), so all of s..k map to True; otherwise
+    only the two ends are known.
+    """
+    verdicts = {}
+    for j in sorted({s, k}):
+        a, b, d = w_k_coefficients(r, j)
+        nums = [a - b * c for c in counts]
+        for e in m.edge_ids:
+            nums[e] -= b * (j - s)
+        verdicts[j] = _odd_cuts_at_least(g, nums, d) is None
+    if all(verdicts.values()):
+        return dict.fromkeys(range(s, k + 1), True)
+    return verdicts
+
+
 def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport:
     """Cover edges with k greedily chosen perfect matchings and certify it.
 
     Requires an r-graph (see require_cover_input).  Fast mode makes one
-    blossom call per step, exact-lemma mode one per cutting-plane round
-    of fractional._peel; both run at every n, and SCAN_LIMIT bounds
-    only the audit (None above it).  Gains are exact integers, predictions
-    exact rationals; the final fraction is compared against the product
-    bound for (r, k).  Repetition of matchings is allowed; a step that
-    gains nothing is flagged stalled.
+    blossom call per step that has an uncovered edge and reuses step 1's
+    matching on the stalled tail; exact-lemma mode makes one per
+    cutting-plane round of fractional._peel.  Both run at every n, and
+    SCAN_LIMIT bounds only the audit (None above it).  Gains are exact
+    integers, predictions exact rationals; the final fraction is compared
+    against the product bound for (r, k).  Repetition of matchings is
+    allowed; a step that gains nothing is flagged stalled.
     """
     require_cover_input(g, r, k, mode)
     exact = mode == EXACT_LEMMA
     cuts = odd_cut_crossings(g, range(r, r + 3)) if g.n <= SCAN_LIMIT else None
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
+    tail: dict[int, bool] = {}  # fast mode: verdicts of the stalled tail known ahead
     for step in range(1, k + 1):
         gains = [0 if c else 1 for c in state.counts]  # 1 on an uncovered edge
         uncovered = sum(gains)
@@ -264,12 +299,14 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
             chosen = _peel(g, nums, d, gains[:], set(), Fraction(1, (g.n + 1) * d),
                            f"exact-lemma step {step}: usage vector")[0]
             verified = True
-        else:
+        elif uncovered:
             verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None
-            if certs and certs[-1].stalled:  # same weights as the last step
-                chosen = state.matchings[-1]
-            else:
-                chosen = max_weight_perfect_matching(g, gains)
+            chosen = max_weight_perfect_matching(g, gains)
+        else:  # the stalled tail: step 1's matching, verdicts from its ends
+            chosen = state.matchings[0]
+            if not tail:
+                tail = _tail_verdicts(g, r, k, step, state.counts, chosen)
+            verified = tail[step] if step in tail else _odd_cuts_at_least(g, nums, d) is None
         best_gain = sum(gains[e] for e in chosen.edge_ids)
         if verified:
             level = "L1"

@@ -57,6 +57,15 @@ def test_usage_coefficients_in_lowest_terms():
         w_k_coefficients(3, 0)
 
 
+def test_usage_coefficients_are_affine_in_k_past_the_first_step():
+    # a fast cover's stalled tail decides only its two ends on this
+    for r in range(3, 13):
+        rows = [w_k_coefficients(r, k) for k in range(2, 16)]
+        assert all(b == 1 for _, b, _ in rows), r
+        for col in ([a for a, _, _ in rows], [d for _, _, d in rows]):
+            assert all(x - 2 * y + z == 0 for x, y, z in zip(col, col[1:], col[2:])), r
+
+
 def test_frozen_table_decimals():
     for (r, k), (rational, decimal, exact) in BOUND_TABLE.items():
         assert approx_decimal(F(rational)) == (decimal, exact), (r, k)

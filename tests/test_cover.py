@@ -465,10 +465,16 @@ def test_run_tables_match_full_scans_on_any_matchings(case, rnd):
         assert audit == audit_cut_invariants(state, r)
 
 
-@pytest.mark.parametrize("n,r,seed,failing", [(200, 3, 1, 0), (100, 3, 1, 1), (40, 3, 3, 7)])
-def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, failing):
+@pytest.mark.parametrize("n,r,seed,failing,decisions", [
+    pytest.param(200, 3, 1, 0, 5, id="200-3-1-0"),
+    pytest.param(100, 3, 1, 1, 7, id="100-3-1-1"),
+    pytest.param(40, 3, 3, 7, 7, id="40-3-3-7"),
+])
+def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, failing, decisions):
     # the r-graph check is one decision at the star value r, so no bisection
-    # runs; membership is one decision per later step, failing steps included
+    # runs; membership is one decision per later step, failing steps included,
+    # except that a stalled tail whose ends both pass (steps 5..8 of the first
+    # case) is settled by those two decisions
     checks, steps = [], []
 
     def counted(calls, real):
@@ -484,11 +490,40 @@ def test_covers_of_r_graphs_build_no_odd_cut_trees(monkeypatch, n, r, seed, fail
     k = 8
     rep = greedy_cover(random_regular(n, r, seed), r, k, mode=FAST)
     assert sum(c.membership_verified is False for c in rep.certificates) == failing
-    assert checks == [r] and len(steps) == k - 1
+    assert checks == [r] and len(steps) == decisions
     checks.clear()
     steps.clear()
     assert greedy_cover(random_regular(20, r, seed), r, k, mode=EXACT_LEMMA).all_l1
     assert checks == [r] and len(steps) >= k  # a pick decision per cutting-plane round
+
+
+# fast covers' stalled tails of every shape: the graph, k, the tail's first
+# step s, its verdicts for steps s..k (P pass, F fail) and the decisions it makes
+@pytest.mark.parametrize("g,k,s,tail,decisions", [
+    pytest.param(random_regular(10, 3, 0), 8, 4, "PPPPP", 2, id="all-pass"),
+    pytest.param(random_regular(12, 3, 0), 8, 5, "FFFF", 4, id="all-fail"),
+    pytest.param(random_regular(14, 3, 0), 10, 5, "PPPPFF", 6, id="pass-then-fail-14"),
+    pytest.param(random_regular(16, 3, 1), 12, 5, "PPPPPPFF", 8, id="pass-then-fail-16"),
+    pytest.param(dipole(3), 5, 4, "PP", 2, id="dipole"),
+    pytest.param(dipole(3), 4, 4, "P", 1, id="dipole-s-is-k"),
+    pytest.param(petersen(), 8, 6, "PPP", 2, id="petersen"),
+    pytest.param(petersen(), 6, 6, "P", 1, id="petersen-s-is-k"),
+])
+def test_stalled_tail_verdicts_match_verify_membership(monkeypatch, g, k, s, tail, decisions):
+    calls = []
+    real = cover._odd_cuts_at_least
+    monkeypatch.setattr(cover, "_odd_cuts_at_least", lambda *a: calls.append(a) or real(*a))
+    rep = greedy_cover(g, 3, k, mode=FAST)
+    assert [c.step for c in rep.certificates if c.stalled] == list(range(s, k + 1))
+    assert set(rep.matchings[s - 1:]) == {rep.matchings[0]}
+    state = CoverState.initial(g)
+    for c, m in zip(rep.certificates, rep.matchings):
+        if c.step > 1:
+            ok = verify_membership(g, w_k(3, c.step, state.counts)).ok
+            assert c.membership_verified is ok and c.level == ("L1" if ok else "L0")
+        state = state.extend(m)
+    assert "".join("PF"[not c.membership_verified] for c in rep.certificates[s - 1:]) == tail
+    assert len(calls) == s - 2 + decisions  # one per step 2..s-1, then the tail's
 
 
 # fast covers whose usage vectors leave the polytope at some step

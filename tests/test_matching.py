@@ -264,6 +264,23 @@ def test_max_weight_prefers_lex_least_among_ties():
     assert max_weight_perfect_matching(dipole(3), [0, 2, 2]).edge_ids == (1,)
 
 
+def test_all_zero_and_all_one_weights_pick_the_same_matching():
+    # every perfect matching has n/2 edges, so both weightings tie them all
+    # and the id perturbation alone picks the lex-least one
+    rng = random.Random(34)
+    for _ in range(150):
+        n = 2 * rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        edges = [(perm[i], perm[i + 1]) for i in range(0, n, 2)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        edges += rng.choices(edges, k=rng.randint(1, 4))  # parallel copies
+        rng.shuffle(edges)
+        g = Multigraph(n, tuple(edges))
+        got = max_weight_perfect_matching(g, [0] * g.m)
+        assert got == max_weight_perfect_matching(g, [1] * g.m)
+        assert got.edge_ids == min(m.edge_ids for m in enumerate_perfect_matchings(g))
+
+
 def test_max_weight_agrees_with_enumeration():
     rng = random.Random(90210)
     for g in [k4(), k33(), dipole(4), prism(3), prism(4), petersen()]:
