@@ -79,7 +79,6 @@ from .oddcuts import (
     OddCutResult,
     is_r_graph,
     min_odd_cut,
-    odd_cuts_at_least,
     tight_odd_cuts,
 )
 

@@ -85,24 +85,21 @@ def uniform(g: Multigraph, r: int) -> FractionalOneFactor:
 def verify_membership(g: Multigraph, w: FractionalOneFactor) -> MembershipReport:
     """Check conditions (i), (ii), (iii) and report the first failure.
 
-    All three run on the entries scaled to one integer denominator.
+    All three run on the entries scaled to one integer denominator by
+    `scale_weights`, which raises ValueError unless there is one per edge.
     (iii) reports the minimum odd cut (`oddcuts._min_odd_cut`), which
     scales past brute-force sizes.  By (ii) every vertex star is an odd
     cut of value 1, so a member reports the cut value 1 at {1}, after
     one flow decision.  An odd vertex count fails (iii) outright: the
-    full vertex set is an odd set with empty boundary.
+    full vertex set is an odd set with empty boundary; the empty graph
+    passes with no cut.
     """
-    if len(w) != g.m:
-        raise ValueError(f"weight vector has {len(w)} entries, graph has {g.m} edges")
     nums, den = scale_weights(w.values, g.m)
     local = _local_failure(g, nums, den)
     if local is not None:
         return local
-    if g.n == 0:
-        return MembershipReport(True)
-    best, witness = _min_odd_cut(g, nums)
-    cut = OddCutResult(Fraction(best, den), witness)
-    if best >= den:
+    cut = _min_odd_cut(g, nums, den)
+    if cut is None or cut.value >= 1:
         return MembershipReport(True, None, None, cut)
     return MembershipReport(False, "odd_cut", cut, cut)
 
@@ -188,8 +185,7 @@ def _peel(g: Multigraph, nums: list[int], d: int, gains, penalised: set[frozense
 
 
 def _require_member(g: Multigraph, w: FractionalOneFactor) -> None:
-    """Raise MembershipFailure with w's report unless w is a member
-    (`verify_membership` raises on a length mismatch)."""
+    """Raise MembershipFailure with w's report unless w is a member."""
     rep = verify_membership(g, w)
     if not rep.ok:
         raise MembershipFailure(
@@ -216,13 +212,11 @@ def decompose(g: Multigraph, w: FractionalOneFactor) -> ConvexDecomposition:
 
     The first passing peel is the membership proof: w = lam*chi_M +
     (1 - lam)*y with y a member, so w is one.  `verify_membership` runs
-    only on a length mismatch, a failure of (i) or (ii), or a first peel
-    that raises (as it does for odd n), and MembershipFailure carries
-    its report; if it finds w a member, the peel's error is an internal
-    bug and is raised.
+    only on a failure of (i) or (ii), or a first peel that raises (as it
+    does for odd n), and MembershipFailure carries its report; if it
+    finds w a member, the peel's error is an internal bug and is raised.
+    A length mismatch raises ValueError, from `scale_weights`.
     """
-    if len(w) != g.m:
-        _require_member(g, w)
     nums, d = scale_weights(w.values, g.m)
     if _local_failure(g, nums, d) is not None:
         _require_member(g, w)

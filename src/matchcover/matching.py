@@ -60,16 +60,16 @@ def enumerate_perfect_matchings(
     checked by one flood fill at the root.  Matching v to u can split
     only the component holding both, into pieces that each contain a
     free neighbour of v or u; floods from those neighbours check the
-    pieces' parity and stop at the first that reaches them all.  Raises
-    CapExceededError as soon as the count would pass `cap`, and
-    NoPerfectMatchingError for odd n (for even n an empty result is a
-    valid answer, not an error).
+    pieces' parity and stop at the first that reaches them all.  Returns
+    () at once when 2m < n.  Raises CapExceededError as soon as the count
+    would pass `cap`, and NoPerfectMatchingError for odd n (for even n an
+    empty result is a valid answer, not an error).
     """
     n = g.n
     if n % 2 != 0:
         raise NoPerfectMatchingError("perfect matchings need an even vertex count")
-    if n == 0:
-        return (Matching(()),)
+    if 2 * g.m < n:
+        return ()
     nbrs = [0] * n
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge id)
     for e, (a, b) in enumerate(g.edges):

@@ -87,10 +87,11 @@ class Multigraph:
         )
 
     def is_regular(self, r: int) -> bool:
-        """True when every vertex has degree exactly r (vacuously true for n=0)."""
+        """True when every vertex has degree exactly r (vacuously true for n=0);
+        the degree sum 2m = rn is checked before the arc index is built."""
         if r < 0:
             raise ValueError("degree must be nonnegative")
-        return all(len(arcs) == r for arcs in self._arcs[1])
+        return 2 * self.m == r * self.n and all(len(arcs) == r for arcs in self._arcs[1])
 
 
 def parse_edge_list(text: str) -> Multigraph:

@@ -1,13 +1,14 @@
 """Minimum odd edge cuts, tight-cut enumeration, and the r-graph test.
 
 An odd cut is boundary(S) for a vertex set S of odd cardinality.
-`odd_cuts_at_least` decides whether every odd cut reaches a bound, by
-Gomory-Hu contraction with flows stopped at the bound (1961); its
-private form also names an odd side below the bound.  The flows of one
+`_odd_cuts_at_least` decides whether every odd cut reaches a bound, by
+Gomory-Hu contraction with flows stopped at the bound (1961), and names
+an odd side below the bound if one exists.  The flows of one
 contraction block augment one residual buffer, carried from each merge
 to the next flow and reset on a split.  Every flow runs on the graph's
 arc index (`Multigraph._arcs`); a decision only sets the capacities.
-`_min_odd_cut` is the one production route to the minimum: every
+`_min_odd_cut`, the one route to the minimum, returns the report that
+`min_odd_cut`, `is_r_graph` and `verify_membership` pass on: every
 vertex star is an odd cut, so it bisects on the decision below the
 lightest star.  The greedy cover, `random_regular`, `is_r_graph` (the
 CLI's `check`) and `verify_membership` all go through the decision;
@@ -188,13 +189,11 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
     star; else it is the side the last decision returned.
     """
     _require_even(g)
-    nums, den = scale_weights(weights, g.m)
-    best, witness = _min_odd_cut(g, nums)
-    return OddCutResult(Fraction(best, den), witness)
+    return _min_odd_cut(g, *scale_weights(weights, g.m))
 
 
-def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
-    """The minimum odd cut value of g under nums (n >= 1) and its witness.
+def _min_odd_cut(g: Multigraph, nums: list[int], den: int = 1) -> OddCutResult | None:
+    """The minimum odd cut of g under the weights nums/den; None if n = 0.
 
     For odd n it is 0, at the whole vertex set.  Else every vertex star
     is an odd cut, so the lightest star (lex-least canonical side on
@@ -204,7 +203,9 @@ def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
     best.bit_length() + 1 decisions, for the star value best.
     """
     if g.n % 2:
-        return 0, frozenset(range(g.n))
+        return OddCutResult(Fraction(0), frozenset(range(g.n)))
+    if g.n == 0:
+        return None
     best, witness = min((x, _lex_key(_canonical(g.n, {v}))) for v, x in enumerate(_stars(g, nums)))
     witness, low, bound = frozenset(witness), 0, best
     while low < best:
@@ -215,15 +216,7 @@ def _min_odd_cut(g: Multigraph, nums: list[int]) -> tuple[int, frozenset[int]]:
             best = sum(nums[e] for e in g.boundary(side))
             witness = _canonical(g.n, side)
         bound = (low + best + 1) // 2
-    return best, witness
-
-
-def odd_cuts_at_least(g: Multigraph, weights, bound) -> bool:
-    """Whether every odd cut of g weighs at least `bound` (even n >= 2)."""
-    _require_even(g)
-    nums, den = scale_weights(weights, g.m)
-    b = Fraction(bound)
-    return _odd_cuts_at_least(g, [x * b.denominator for x in nums], b.numerator * den) is None
+    return OddCutResult(Fraction(best, den), witness)
 
 
 def _odd_cuts_at_least(g: Multigraph, nums: list[int], bound: int) -> frozenset[int] | None:
@@ -360,14 +353,12 @@ def is_r_graph(g: Multigraph, r: int) -> tuple[bool, OddCutResult | None]:
     """Test the odd-cut condition: every odd cut has at least r edges.
 
     Requires g to be r-regular (raises NotRegularError otherwise).  The
-    second component is always the minimizing odd cut, which serves as
-    the violation witness when the answer is False.  For odd n the full
-    vertex set is an empty-boundary odd cut, so the answer is r <= 0.
-    The empty graph passes vacuously with no witness.
+    second component is `_min_odd_cut`'s report, the minimizing odd cut,
+    which serves as the violation witness when the answer is False.  For
+    odd n the full vertex set is an empty-boundary odd cut, so the
+    answer is r <= 0.  The empty graph passes vacuously with no witness.
     """
     if not g.is_regular(r):
         raise NotRegularError(f"graph is not {r}-regular")
-    if g.n == 0:
-        return True, None
-    best, witness = _min_odd_cut(g, [1] * g.m)
-    return best >= r, OddCutResult(Fraction(best), witness)
+    cut = _min_odd_cut(g, [1] * g.m)
+    return cut is None or cut.value >= r, cut

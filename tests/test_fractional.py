@@ -191,12 +191,12 @@ def test_membership_report_contract():
 
 
 def test_membership_length_mismatch():
-    with pytest.raises(ValueError, match="entries"):
+    with pytest.raises(ValueError, match="expected 15 weights, got 1"):
         verify_membership(petersen(), FractionalOneFactor((F(1, 3),)))
 
 
 def test_decompose_length_mismatch():
-    with pytest.raises(ValueError, match="entries"):
+    with pytest.raises(ValueError, match="expected 15 weights, got 1"):
         decompose(petersen(), FractionalOneFactor((F(1, 3),)))
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,9 +116,25 @@ def test_enumeration_cap(name):
 
 def test_enumeration_degenerate_inputs():
     assert enumerate_perfect_matchings(Multigraph(0, ())) == (Matching(()),)
+    # the empty graph's one matching follows the cap rule: a cap of P - 1 = 0 raises
+    with pytest.raises(CapExceededError, match="passed the cap of 0$"):
+        enumerate_perfect_matchings(Multigraph(0, ()), cap=0)
     assert enumerate_perfect_matchings(TWO_TRIANGLES) == ()
     with pytest.raises(NoPerfectMatchingError):
         enumerate_perfect_matchings(Multigraph(3, ((0, 1), (1, 2), (0, 2))))
+
+
+def test_enumeration_without_n_over_2_edges_builds_nothing():
+    # a perfect matching has n/2 edges, so one edge on 10^6 vertices has none,
+    # found before any per-vertex list is built
+    g = Multigraph(10**6, ((0, 1),))
+    tracemalloc.start()
+    try:
+        assert enumerate_perfect_matchings(g) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumeration_results_are_perfect_and_distinct():

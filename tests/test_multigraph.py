@@ -129,6 +129,13 @@ def test_is_regular():
         k4().is_regular(-1)
 
 
+def test_is_regular_checks_the_degree_sum_before_the_arc_index():
+    # 2m != rn answers at once: a huge edgeless header builds no per-vertex lists
+    g = Multigraph(10**6, ())
+    assert g.is_regular(3) is False
+    assert "_arcs" not in vars(g)
+
+
 def test_constructor_rejects_bad_edges():
     with pytest.raises(ValueError, match="loop"):
         Multigraph(2, ((0, 0),))

@@ -25,6 +25,7 @@ from matchcover import (
 )
 from matchcover import fractional, generators, oddcuts
 from matchcover.oddcuts import (
+    OddCutResult,
     _decode,
     _min_odd_cut,
     _odd_cuts_at_least,
@@ -32,7 +33,6 @@ from matchcover.oddcuts import (
     is_r_graph,
     min_odd_cut,
     odd_cut_crossings,
-    odd_cuts_at_least,
     odd_subset_codes,
     scale_weights,
     tight_odd_cuts,
@@ -199,26 +199,22 @@ def threshold_cases(test):
     return settings(derandomize=True, deadline=None, max_examples=300)(test)
 
 
+# The decision carries each block's residual flow from one merge to the
+# next and starts afresh after a split; the oracle starts every flow from
+# the bare capacities.  Both must name the same side, or both None.
 @threshold_cases
 def test_odd_cuts_at_least_matches_brute_force(gw, offset):
     g, w = gw
     best = min_odd_cut_brute(g, w).value
     bound = best + offset * Fraction(1, 1000)
-    assert odd_cuts_at_least(g, w, bound) is (best >= bound)
-
-
-@threshold_cases
-def test_odd_cuts_at_least_returns_an_odd_side_below_the_bound(gw, offset):
-    g, w = gw
-    best = min_odd_cut_brute(g, w).value
-    bound = best + offset * Fraction(1, 1000)
     den = lcm(bound.denominator, *(x.denominator for x in w))
-    side = _odd_cuts_at_least(g, [int(x * den) for x in w], int(bound * den))
-    if best >= bound:
-        assert side is None
-    else:
+    nums, b = [int(x * den) for x in w], int(bound * den)
+    side = _odd_cuts_at_least(g, nums, b)
+    assert (side is None) is (best >= bound)
+    if side is not None:
         assert len(side) % 2 == 1
         assert cut_weight(g, w, side) < bound
+    assert side == odd_cuts_at_least_fresh_flows(g, nums, b)
 
 
 def cut_below(g, nums, bound):
@@ -230,37 +226,19 @@ def cut_below(g, nums, bound):
 
 # Fast covers with failing steps (40, 3, 3 from step 2 on; 100, 3, 1 at
 # step 8) and with member steps that have an even cut below 1, which the
-# decision must split on.
+# decision must split on; the fresh-flow oracle names the same side.
 def test_odd_cuts_at_least_on_fast_cover_steps():
     outcomes = set()
     for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
         g = random_regular(n, r, seed)
         for w in fast_cover_step_vectors(g, r, 8):
             member = min_odd_cut(g, w.values).value >= 1
-            assert odd_cuts_at_least(g, w.values, 1) is member
             nums, den = scale_weights(w.values, g.m)
+            side = _odd_cuts_at_least(g, nums, den)
+            assert (side is None) is member
+            assert side == odd_cuts_at_least_fresh_flows(g, nums, den)
             outcomes.add((member, cut_below(g, nums, den)))
     assert outcomes == {(True, False), (True, True), (False, True)}
-
-
-# The decision carries each block's residual flow from one merge to the
-# next and starts afresh after a split; the oracle starts every flow from
-# the bare capacities.  Both must name the same side, or both None.
-@threshold_cases
-def test_odd_cuts_at_least_matches_the_fresh_flow_oracle(gw, offset):
-    g, w = gw
-    bound = min_odd_cut_brute(g, w).value + offset * Fraction(1, 1000)
-    den = lcm(bound.denominator, *(x.denominator for x in w))
-    nums, b = [int(x * den) for x in w], int(bound * den)
-    assert _odd_cuts_at_least(g, nums, b) == odd_cuts_at_least_fresh_flows(g, nums, b)
-
-
-def test_fresh_flow_oracle_on_fast_cover_steps():
-    for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
-        g = random_regular(n, r, seed)
-        for w in fast_cover_step_vectors(g, r, 8):
-            nums, den = scale_weights(w.values, g.m)
-            assert _odd_cuts_at_least(g, nums, den) == odd_cuts_at_least_fresh_flows(g, nums, den)
 
 
 def test_fresh_flow_oracle_on_peel_decisions(monkeypatch):
@@ -314,15 +292,6 @@ def test_carried_flow_then_reset_on_big_capacities(monkeypatch):
         assert (side is None) is (best >= bound)
         if side is not None:
             assert len(side) % 2 == 1 and boundary_value(g, w, side) < bound
-
-
-def test_odd_cuts_at_least_validation():
-    with pytest.raises(ValueError, match="even vertex count"):
-        odd_cuts_at_least(Multigraph(3, ((0, 1), (1, 2), (0, 2))), [1, 1, 1], 1)
-    with pytest.raises(ValueError, match="expected 15 weights"):
-        odd_cuts_at_least(petersen(), [1], 1)
-    assert odd_cuts_at_least(petersen(), [1] * 15, 3)
-    assert not odd_cuts_at_least(petersen(), [1] * 15, Fraction(31, 10))
 
 
 def test_tight_cuts_petersen_uniform():
@@ -492,8 +461,9 @@ def test_private_routines_answer_odd_and_empty_orders():
         whole = frozenset(range(g.n))
         assert _odd_cuts_at_least(g, [1] * g.m, 1) == whole
         assert _odd_cuts_at_least(g, [1] * g.m, 0) is None
-        assert _min_odd_cut(g, [1] * g.m) == (0, whole)
+        assert _min_odd_cut(g, [1] * g.m) == OddCutResult(Fraction(0), whole)
     assert _odd_cuts_at_least(Multigraph(0, ()), [], 1) is None
+    assert _min_odd_cut(Multigraph(0, ()), []) is None
 
 
 def test_is_r_graph_empty_graph():

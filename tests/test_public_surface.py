@@ -20,7 +20,7 @@ PUBLIC = [
     "format_fraction", "fractional", "from_spec", "generator_names", "generators",
     "geometric_bound", "greedy_cover", "is_r_graph", "k33", "k4", "lpfeas",
     "m_exact", "matching", "max_weight_perfect_matching", "min_odd_cut",
-    "multicoloring", "multigraph", "odd_cuts_at_least", "oddcuts",
+    "multicoloring", "multigraph", "oddcuts",
     "parse_edge_list", "petersen", "prism", "product_bound", "random_regular",
     "serialize", "small_k_bound", "solve_nonneg", "tight_odd_cuts", "uniform",
     "verify_membership", "w_k_entry",
