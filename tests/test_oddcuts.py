@@ -199,22 +199,26 @@ def threshold_cases(test):
     return settings(derandomize=True, deadline=None, max_examples=300)(test)
 
 
-# The decision carries each block's residual flow from one merge to the
-# next and starts afresh after a split; the oracle starts every flow from
-# the bare capacities.  Both must name the same side, or both None.
 @threshold_cases
 def test_odd_cuts_at_least_matches_brute_force(gw, offset):
     g, w = gw
     best = min_odd_cut_brute(g, w).value
     bound = best + offset * Fraction(1, 1000)
+    assert (min_odd_cut(g, w).value >= bound) is (best >= bound)
+
+
+@threshold_cases
+def test_odd_cuts_at_least_returns_an_odd_side_below_the_bound(gw, offset):
+    g, w = gw
+    best = min_odd_cut_brute(g, w).value
+    bound = best + offset * Fraction(1, 1000)
     den = lcm(bound.denominator, *(x.denominator for x in w))
-    nums, b = [int(x * den) for x in w], int(bound * den)
-    side = _odd_cuts_at_least(g, nums, b)
-    assert (side is None) is (best >= bound)
-    if side is not None:
+    side = _odd_cuts_at_least(g, [int(x * den) for x in w], int(bound * den))
+    if best >= bound:
+        assert side is None
+    else:
         assert len(side) % 2 == 1
         assert cut_weight(g, w, side) < bound
-    assert side == odd_cuts_at_least_fresh_flows(g, nums, b)
 
 
 def cut_below(g, nums, bound):
@@ -226,7 +230,7 @@ def cut_below(g, nums, bound):
 
 # Fast covers with failing steps (40, 3, 3 from step 2 on; 100, 3, 1 at
 # step 8) and with member steps that have an even cut below 1, which the
-# decision must split on; the fresh-flow oracle names the same side.
+# decision must split on.
 def test_odd_cuts_at_least_on_fast_cover_steps():
     outcomes = set()
     for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
@@ -234,11 +238,29 @@ def test_odd_cuts_at_least_on_fast_cover_steps():
         for w in fast_cover_step_vectors(g, r, 8):
             member = min_odd_cut(g, w.values).value >= 1
             nums, den = scale_weights(w.values, g.m)
-            side = _odd_cuts_at_least(g, nums, den)
-            assert (side is None) is member
-            assert side == odd_cuts_at_least_fresh_flows(g, nums, den)
+            assert (_odd_cuts_at_least(g, nums, den) is None) is member
             outcomes.add((member, cut_below(g, nums, den)))
     assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+# The decision carries each block's residual flow from one merge to the
+# next and starts afresh after a split; the oracle starts every flow from
+# the bare capacities.  Both must name the same side, or both None.
+@threshold_cases
+def test_odd_cuts_at_least_matches_the_fresh_flow_oracle(gw, offset):
+    g, w = gw
+    bound = min_odd_cut_brute(g, w).value + offset * Fraction(1, 1000)
+    den = lcm(bound.denominator, *(x.denominator for x in w))
+    nums, b = [int(x * den) for x in w], int(bound * den)
+    assert _odd_cuts_at_least(g, nums, b) == odd_cuts_at_least_fresh_flows(g, nums, b)
+
+
+def test_fresh_flow_oracle_on_fast_cover_steps():
+    for n, r, seed in [(40, 3, 3), (100, 3, 1), (200, 3, 3), (40, 4, 2), (100, 4, 0), (200, 4, 0)]:
+        g = random_regular(n, r, seed)
+        for w in fast_cover_step_vectors(g, r, 8):
+            nums, den = scale_weights(w.values, g.m)
+            assert _odd_cuts_at_least(g, nums, den) == odd_cuts_at_least_fresh_flows(g, nums, den)
 
 
 def test_fresh_flow_oracle_on_peel_decisions(monkeypatch):
