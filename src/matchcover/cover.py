@@ -32,6 +32,27 @@ lexicographically least maximum); nothing is enumerated.
   and the tail steps that pass form an interval: steps s and k are
   decided, and when both pass the steps between are L1 with no
   decision of their own; otherwise each of them is decided.
+* 'fast' also decides a step that follows a passing one on fewer cuts,
+  for r = 3 and 4.  Let w_i be a proven member (w_1 = 1/r is one, as
+  the input is an r-graph, and equals the b = 1 form at zero counts),
+  and let the counts since grow only on one matching M: step j's own
+  predecessor, or step 1's matching (k - s) times at the tail's end k.
+  For an odd cut S with x = |boundary(S)| and y of those edges outside
+  M, the numerator slack sum(a - c) - d of (iii) changes by (j - i)(y - 2)
+  for r = 3 and (j - i)(x + y - 7) for r = 4.  M crosses S an odd number
+  of times, so y is even for r = 3, and odd with x >= 4 even for r = 4:
+  only cuts with y = r - 3 can newly fail.  The decision on nums plus d
+  on every edge outside M, at the bound d(r - 2), keeps those cuts'
+  verdict, as both sides move by d(r - 3), and every other cut reads at
+  least the bound and truly passes, its slack not having shrunk.  So the
+  verdict is w_j's, and the flows stop early on the heavier edges.  For
+  r >= 5 two classes of y can lose slack (y in {0, 2} for r = 5, {1, 3}
+  for r = 6) and one shift keeps one class exact; at r = 5 the other
+  holds passing cuts, such as a 7-cut that M crosses on every edge, so
+  r >= 5 decides in full.  The shifted decision's side is not a cut of
+  w_j, so only its verdict is read; exact-lemma picks, `decompose`,
+  `is_r_graph` and `random_regular` use their sides and keep the full
+  decision.
 * 'exact-lemma' restricts each pick to matchings crossing every tight
   cut of w_j exactly once, then maximizes gain among those.  That is
   the selection the extraction lemma feeds, it keeps w_{j+1} inside the
@@ -248,21 +269,44 @@ def require_cover_input(g: Multigraph, r: int, k: int, mode: str) -> None:
         )
 
 
-def _tail_verdicts(g: Multigraph, r: int, k: int, s: int, counts, m: Matching) -> dict[int, bool]:
+def _member(g: Multigraph, r: int, nums: list[int], d: int, since: Matching | None) -> bool:
+    """Whether w = nums/d, with (i) and (ii) checked, is a fractional
+    1-factor: one flow decision.
+
+    since is the one matching the counts grew on after a step whose
+    vector is a proven member, or None.  Given it, for r = 3 and 4 only
+    the odd cuts it crosses on all but r - 3 edges can newly fail, so
+    the decision runs on nums + d*[e not in since] at the bound d(r-2):
+    those cuts keep their verdict and every other cut passes (module
+    docstring).  Only the verdict is read, as the shifted decision's
+    side is not a cut of w.
+    """
+    if since is None or r > 4:
+        return _odd_cuts_at_least(g, nums, d) is None
+    shifted = [x + d for x in nums]
+    for e in since.edge_ids:
+        shifted[e] = nums[e]
+    return _odd_cuts_at_least(g, shifted, d * (r - 2)) is None
+
+
+def _tail_verdicts(g: Multigraph, r: int, k: int, s: int, counts, m: Matching,
+                   since: Matching | None) -> dict[int, bool]:
     """Membership verdicts of the stalled tail s..k that its ends settle.
 
-    Step s is decided on the counts, and step k (when k > s) on the
-    counts plus (k - s) uses of m.  When both pass, every step between
-    passes too (module docstring), so all of s..k map to True; otherwise
-    only the two ends are known.
+    Step s is decided on the counts (since as for `_member`), and step k
+    (when k > s) on the counts plus (k - s) uses of m, shifted by m when
+    step s passes.  When both pass, every step between passes too
+    (module docstring), so all of s..k map to True; otherwise only the
+    two ends are known.
     """
-    verdicts = {}
-    for j in sorted({s, k}):
-        a, b, d = w_k_coefficients(r, j)
-        nums = [a - b * c for c in counts]
+    a, _, d = w_k_coefficients(r, s)
+    verdicts = {s: _member(g, r, [a - c for c in counts], d, since)}
+    if k > s:
+        a, _, d = w_k_coefficients(r, k)
+        nums = [a - c for c in counts]
         for e in m.edge_ids:
-            nums[e] -= b * (j - s)
-        verdicts[j] = _odd_cuts_at_least(g, nums, d) is None
+            nums[e] -= k - s
+        verdicts[k] = _member(g, r, nums, d, m if verdicts[s] else None)
     if all(verdicts.values()):
         return dict.fromkeys(range(s, k + 1), True)
     return verdicts
@@ -273,7 +317,9 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
 
     Requires an r-graph (see require_cover_input).  Fast mode makes one
     blossom call per step that has an uncovered edge and reuses step 1's
-    matching on the stalled tail; exact-lemma mode makes one per
+    matching on the stalled tail; for r = 3 and 4 each of its later
+    steps that follows a passing step is decided on the cuts the last
+    matching can break (module docstring).  Exact-lemma mode makes one per
     cutting-plane round of fractional._peel.  Both run at every n, and
     SCAN_LIMIT bounds only the audit (None above it).  Gains are exact
     integers, predictions exact rationals; the final fraction is compared
@@ -286,6 +332,7 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
     state = CoverState.initial(g)
     certs: list[IterationCertificate] = []
     tail: dict[int, bool] = {}  # fast mode: verdicts of the stalled tail known ahead
+    since: Matching | None = None  # the last pick, when the step before it is proven
     for step in range(1, k + 1):
         gains = [0 if c else 1 for c in state.counts]  # 1 on an uncovered edge
         uncovered = sum(gains)
@@ -300,13 +347,13 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
                            f"exact-lemma step {step}: usage vector")[0]
             verified = True
         elif uncovered:
-            verified = _odd_cuts_at_least(g, nums, d) is None if step > 1 else None
+            verified = _member(g, r, nums, d, since) if step > 1 else None
             chosen = max_weight_perfect_matching(g, gains)
         else:  # the stalled tail: step 1's matching, verdicts from its ends
             chosen = state.matchings[0]
             if not tail:
-                tail = _tail_verdicts(g, r, k, step, state.counts, chosen)
-            verified = tail[step] if step in tail else _odd_cuts_at_least(g, nums, d) is None
+                tail = _tail_verdicts(g, r, k, step, state.counts, chosen, since)
+            verified = tail[step] if step in tail else _member(g, r, nums, d, since)
         best_gain = sum(gains[e] for e in chosen.edge_ids)
         if verified:
             level = "L1"
@@ -320,6 +367,9 @@ def greedy_cover(g: Multigraph, r: int, k: int, mode: str = FAST) -> CoverReport
                 f"{best_gain} (internal bug)"
             )
         state = state.extend(chosen)
+        # w_1 = 1/r is a member of every r-graph, and the fast mode's
+        # unchecked step 1 reads None
+        since = chosen if verified is not False else None
         audit = None
         if cuts is not None:
             codes, sizes, cross = cuts

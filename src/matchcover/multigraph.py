@@ -88,10 +88,13 @@ class Multigraph:
 
     def is_regular(self, r: int) -> bool:
         """True when every vertex has degree exactly r (vacuously true for n=0);
-        the degree sum 2m = rn is checked before the arc index is built."""
+        the degree sum 2m = rn is checked before the arc index is built,
+        and an edgeless graph that passes it needs no index."""
         if r < 0:
             raise ValueError("degree must be nonnegative")
-        return 2 * self.m == r * self.n and all(len(arcs) == r for arcs in self._arcs[1])
+        return 2 * self.m == r * self.n and (
+            self.m == 0 or all(len(arcs) == r for arcs in self._arcs[1])
+        )
 
 
 def parse_edge_list(text: str) -> Multigraph:

@@ -195,7 +195,9 @@ def min_odd_cut(g: Multigraph, weights) -> OddCutResult:
 def _min_odd_cut(g: Multigraph, nums: list[int], den: int = 1) -> OddCutResult | None:
     """The minimum odd cut of g under the weights nums/den; None if n = 0.
 
-    For odd n it is 0, at the whole vertex set.  Else every vertex star
+    For odd n it is 0, at the whole vertex set, and for an edgeless
+    graph of even n it is 0 at {1}, with no per-vertex list.  Else every
+    vertex star
     is an odd cut, so the lightest star (lex-least canonical side on
     ties) bounds the minimum from above.  The decision at that bound,
     then bisection on it, find the exact value; each side a decision
@@ -206,6 +208,8 @@ def _min_odd_cut(g: Multigraph, nums: list[int], den: int = 1) -> OddCutResult |
         return OddCutResult(Fraction(0), frozenset(range(g.n)))
     if g.n == 0:
         return None
+    if g.m == 0:  # every star weighs 0, and {1} is the lex-least side
+        return OddCutResult(Fraction(0), frozenset({1}))
     best, witness = min((x, _lex_key(_canonical(g.n, {v}))) for v, x in enumerate(_stars(g, nums)))
     witness, low, bound = frozenset(witness), 0, best
     while low < best:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +56,24 @@ def test_check_beyond_the_scan_limit(capsys):
     code, out, _ = run(capsys, ["check", "-r", "3", "--gen", "random_regular:1000,3", "--seed", "0"])
     assert code == 0
     assert out == "r-graph: yes (min odd cut 3)\n"
+
+
+def test_check_of_an_edgeless_header_builds_nothing(capsys, tmp_path):
+    # an edgeless graph of even n has its minimum odd cut 0 at {1}, found
+    # before any per-vertex list; at odd n the witness is the whole vertex set
+    path = tmp_path / "edgeless.txt"
+    path.write_text("2000000 0\n")
+    tracemalloc.start()
+    try:
+        code, doc = run_json(capsys, ["check", "-r", "0", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 0 and doc["result"] == {"r_graph": True, "min_odd_cut": "0", "witness": [1]}
+    path.write_text("3 0\n")
+    code, doc = run_json(capsys, ["check", "-r", "0", "--input", str(path)])
+    assert code == 0 and doc["result"]["witness"] == [0, 1, 2]
 
 
 def test_check_json_schema(capsys):

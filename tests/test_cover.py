@@ -555,3 +555,86 @@ def test_membership_from_the_cut_table_matches_verify_membership(n, r, seed):
     assert outcomes[0] is True
     if (n, r) != (20, 4):
         assert False in outcomes
+
+
+# two 4-regular circulants C7(1, 2) joined by the matching i -- i + 7 (edges
+# 0..6): a 5-graph whose 7-edge cut step 1's matching crosses on every edge,
+# so at step 2 that cut is tight and a shift at r = 5 would fail it
+CIRCULANT_PAIR_5 = Multigraph(14, tuple(
+    [(i, i + 7) for i in range(7)]
+    + [(h + i, h + (i + s) % 7) for h in (0, 7) for s in (1, 2) for i in range(7)]
+))
+DOUBLED_C8 = Multigraph(8, tuple((i, (i + 1) % 8) for i in range(8) for _ in range(2)))
+
+MEMBER_SWEEP = [
+    pytest.param([random_regular(n, r, seed) for n in range(6, 41, 2)], r, id=f"rr-r{r}-s{seed}")
+    for r in (3, 4) for seed in range(4)
+] + [
+    pytest.param([petersen(), dipole(3)] + [prism(n) for n in range(3, 12)], 3, id="named-3"),
+    pytest.param([dipole(4), DOUBLED_C8], 4, id="multigraphs-4"),
+    pytest.param([CIRCULANT_PAIR_5] + [random_regular(n, 5, 0) for n in (8, 12)], 5, id="r5"),
+    pytest.param([random_regular(n, 6, 0) for n in (8, 12)], 6, id="r6"),
+]
+
+
+@pytest.mark.parametrize("graphs,r", MEMBER_SWEEP)
+def test_fast_verdicts_match_verify_membership_and_the_full_decision(monkeypatch, graphs, r):
+    # every fast verdict is a fresh verify_membership, and each decision the
+    # cover makes, shifted by the last matching or not, is the full one
+    calls = []
+    real = cover._member
+
+    def member(g, r, nums, d, since):
+        ok = real(g, r, nums, d, since)
+        calls.append((ok, oddcuts._odd_cuts_at_least(g, nums, d) is None))
+        return ok
+
+    monkeypatch.setattr(cover, "_member", member)
+    for g in graphs:
+        for k in (2, 5, 11):
+            rep = greedy_cover(g, r, k, mode=FAST)
+            state = CoverState.initial(g)
+            for c, m in zip(rep.certificates, rep.matchings):
+                if c.step > 1:
+                    ok = verify_membership(g, w_k(r, c.step, state.counts)).ok
+                    assert c.membership_verified is ok, (g, k, c.step)
+                state = state.extend(m)
+    assert calls and all(ok == full for ok, full in calls)
+
+
+# the shifted route's False after a passing step, for r = 3 and r = 4: the
+# steps it decides after a pass, in call order, and their verdicts
+@pytest.mark.parametrize("g,r,k,verdicts", [
+    pytest.param(random_regular(14, 3, 0), 3, 10, "PPPPFPPPF", id="pass-then-fail-14"),
+    pytest.param(random_regular(36, 4, 0), 4, 8, "PPPPF", id="pass-then-fail-36-r4"),
+])
+def test_shifted_route_fails_a_step_after_a_passing_one(monkeypatch, g, r, k, verdicts):
+    shifted = []
+    real = cover._member
+
+    def member(g, r, nums, d, since):
+        ok = real(g, r, nums, d, since)
+        if since is not None:
+            shifted.append("PF"[not ok])
+        return ok
+
+    monkeypatch.setattr(cover, "_member", member)
+    rep = greedy_cover(g, r, k, mode=FAST)
+    assert "".join(shifted) == verdicts
+    assert any(a.membership_verified and b.membership_verified is False
+               for a, b in zip(rep.certificates, rep.certificates[1:]))
+
+
+# _sink_side flows of a fast k = 8 cover, the r-graph check included: 1183,
+# 689, 273 and 373 when every step ran the full decision
+SINK_SIDE_PINS = {(200, 3, 1): 215, (100, 3, 1): 113, (40, 3, 3): 244, (48, 4, 0): 213}
+
+
+@pytest.mark.parametrize("n,r,seed", sorted(SINK_SIDE_PINS))
+def test_fast_cover_flow_counts_pinned(monkeypatch, n, r, seed):
+    g = random_regular(n, r, seed)
+    flows = []
+    real = oddcuts._sink_side
+    monkeypatch.setattr(oddcuts, "_sink_side", lambda *a: flows.append(1) or real(*a))
+    greedy_cover(g, r, 8, mode=FAST)
+    assert len(flows) == SINK_SIDE_PINS[(n, r, seed)]

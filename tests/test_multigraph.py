@@ -134,6 +134,9 @@ def test_is_regular_checks_the_degree_sum_before_the_arc_index():
     g = Multigraph(10**6, ())
     assert g.is_regular(3) is False
     assert "_arcs" not in vars(g)
+    # and an edgeless graph that passes it has every degree 0
+    assert g.is_regular(0) is True
+    assert "_arcs" not in vars(g)
 
 
 def test_constructor_rejects_bad_edges():
