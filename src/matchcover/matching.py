@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
 from math import lcm
 
 from .errors import CapExceededError, NoPerfectMatchingError
@@ -165,15 +166,30 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
     perfect matching exists.
 
     One augmentation per stage.  Edge excesses dual[u] + dual[v] - 4w
-    are read off the vertex duals, never cached.  Each dual step takes
-    the least of the top-level T-blossoms' duals and, over the edges
-    from the stage's S-vertices to other top-level blossoms, the excess
-    into a free one and half the excess into an S one.  A step is
-    O(n + m) and a stage takes O(n) of them, each followed by a label,
-    shrink, expansion or augmentation, so the n/2 stages cost O(n^2 m),
-    and O(n^3) on r-graphs of fixed r (m = rn/2).  Weights enter as 4w
-    and vertex duals start even, so the excess between two S-vertices
-    stays even and every dual stays an integer.  A greedy
+    are read off the vertex duals.  Each stage keeps a heap of (stage
+    total at which the edge turns tight, arc from its S end), the stage
+    total `now` being the sum of the stage's dual steps so far: now +
+    excess for an arc into a free blossom, now + excess/2 into an S one.
+    A key holds while neither end changes label.  Scanning an S-vertex
+    pushes its arcs that are neither tight nor into a T-blossom; a
+    T-blossom expanded mid-stage pushes the arcs from S-vertices into
+    each sub-blossom it leaves free.  A dual step drops entries whose
+    ends share a top-level blossom or whose far end is T, and re-keys
+    one whose key no longer matches its recomputed excess (its far end
+    turned S through a T-blossom, or left an expanded one, while now
+    grew).  The valid top gives the least excess into a free blossom and
+    half-excess into an S one, beside the least dual of a top-level
+    T-blossom.  The step then moves the duals of the stage's S-vertices
+    and of the leaves of its T-blossoms still top-level T, and of no
+    other vertex.  A stage takes O(n) steps, each followed by a label,
+    shrink, expansion or augmentation.  A step costs O(n) for the dual
+    update plus O(log m) per entry it pops.  A stage pushes each arc on
+    the first scan of its S end (2m at most), D at most a step on the
+    rescan of the S end of the edge the step tightened (D the largest
+    degree), and the arcs into freed sub-blossoms: O(n^2 + (m + nD) log m)
+    a stage plus the expansions' pushes.  Weights enter as 4w and vertex
+    duals start even, so the excess between two S-vertices stays even
+    and every dual stays an integer.  A greedy
     start on tight edges that is already perfect is returned at once:
     its duals are feasible and every matched edge is tight.
     Blossoms are n..2n-1; nested blossoms are expanded and augmented
@@ -222,7 +238,10 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
     free_ids = list(range(2 * n - 1, n - 1, -1))
     live: list[int] = []  # blossoms in use
     queue: list[int] = []
-    svs: list[int] = []  # S-vertices of this stage
+    svs: list[int] = []  # S-vertices of this stage, whose duals fall by each step
+    tbs: list[int] = []  # T-blossoms of this stage; those still top-level T rise
+    heap: list[tuple[int, int]] = []  # (stage total at which it turns tight, arc from its S end)
+    now = 0  # the stage's dual steps so far
 
     def direction(cs, i):
         """Start index, step and end trick for the even way round the cycle
@@ -238,6 +257,7 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
                 queue.extend(leaves[b])
                 svs.extend(leaves[b])
                 return
+            tbs.append(b)
             # the T-blossom's base is matched: its mate's blossom turns S
             q = mate[base[b]]
             w, t, p = ends[q], 1, q ^ 1
@@ -315,6 +335,7 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
                 bv = cs[j]
                 label[x] = label[bv] = 2
                 labelend[x] = labelend[bv] = p
+                tbs.append(bv)
                 j += step
                 while cs[j] != entry:  # the rest becomes T where reached, else free
                     bv = cs[j]
@@ -325,6 +346,12 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
                         if label[x]:
                             assign(x, 2, labelend[x])
                             break
+                    else:  # S-vertices scanned while it was T pushed no arc into it
+                        for x in leaves[bv]:
+                            for p in adj[x]:
+                                u = ends[p]
+                                if label[inblossom[u]] == 1:
+                                    heappush(heap, (now + dual[u] + dual[x] - w4[p >> 1], p ^ 1))
             label[b] = 0
             labelend[b] = base[b] = -1
             childs[b] = endps[b] = leaves[b] = None
@@ -382,6 +409,9 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
         label[:] = [0] * (2 * n)
         queue.clear()
         svs.clear()
+        tbs.clear()
+        heap.clear()
+        now = 0
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign(v, 1, -1)
@@ -395,7 +425,8 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
                     bw = inblossom[w]
                     if inblossom[v] == bw:
                         continue
-                    if dv + dual[w] <= w4[p >> 1]:
+                    ks = dv + dual[w] - w4[p >> 1]
+                    if ks <= 0:
                         if label[bw] == 0:
                             assign(w, 2, p ^ 1)
                         elif label[bw] == 1:
@@ -409,35 +440,45 @@ def _blossom(ends, adj, weight: list[int]) -> list[int] | None:
                         elif label[w] == 0:  # reached inside a T-blossom
                             label[w] = 2
                             labelend[w] = p ^ 1
+                    elif label[bw] != 2:
+                        heappush(heap, (now + (ks >> 1 if label[bw] else ks), p))
             if augmented:
                 break
-            # delta2: S to free vertex; delta3: half an S-S excess;
-            # delta4: the dual of a T-blossom, which then expands
+            # delta2: S to free vertex; delta3: half an S-S excess, both off
+            # the heap's valid top; delta4: the dual of a T-blossom, which
+            # then expands
             found = [(dual[b], 4, b) for b in live if parent[b] == -1 and label[b] == 2]
-            for v in svs:
-                bv, dv = inblossom[v], dual[v]
-                for p in adj[v]:
-                    w = ends[p]
-                    bw = inblossom[w]
-                    if bw != bv and label[bw] != 2:
-                        ks = dv + dual[w] - w4[p >> 1]
-                        found.append((ks >> 1, 3, p >> 1) if label[bw] else (ks, 2, p >> 1))
+            while heap:
+                key, p = heap[0]
+                v, w = ends[p ^ 1], ends[p]
+                bw = inblossom[w]
+                if inblossom[v] == bw or label[bw] == 2:
+                    heappop(heap)  # inside one blossom now, or into a T-blossom
+                    continue
+                ks = dual[v] + dual[w] - w4[p >> 1]
+                k = now + (ks >> 1 if label[bw] else ks)
+                if k == key:
+                    found.append((key - now, 2, p))
+                    break
+                heapreplace(heap, (k, p))  # far end turned S or left a T-blossom
             if not found:
                 return None  # no tree can grow: the matching is maximum
             delta, kind, arg = min(found)
             if delta:
-                for v in range(n):
-                    t = label[inblossom[v]]
-                    if t:
-                        dual[v] += delta if t == 2 else -delta
+                now += delta
+                for v in svs:
+                    dual[v] -= delta
+                for b in tbs:
+                    if label[b] == 2 and parent[b] == -1:  # still a top-level T-blossom
+                        for x in leaves[b]:
+                            dual[x] += delta
                 for b in live:
                     if parent[b] == -1 and label[b]:
                         dual[b] += delta if label[b] == 1 else -delta
             if kind == 4:
                 expand(arg, False)
             else:
-                v = ends[2 * arg]
-                queue.append(v if label[inblossom[v]] == 1 else ends[2 * arg + 1])
+                queue.append(ends[arg ^ 1])
         for b in list(live):
             if base[b] >= 0 and parent[b] == -1 and label[b] == 1 and dual[b] == 0:
                 expand(b, True)

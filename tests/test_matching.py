@@ -33,6 +33,7 @@ from matchcover.multigraph import _arc_index
 from helpers import (
     CORPUS_IDS,
     PETERSEN_PMS,
+    blossom_scan,
     corpus,
     covered_vertices,
     enumerate_perfect_matchings_dfs,
@@ -445,6 +446,18 @@ BLOSSOM_BRANCH_CASES = {
                                         (1, 3), (3, 0), (6, 2), (10, 7), (8, 4), (11, 2),
                                         (10, 1), (5, 2)],
                                    [2, 2, 2, 1, 2, 0, 2, 0, 2, 2, 1, 2, 1, 2, 2]),
+    # the dual step's heap drops an entry whose ends a new blossom swallowed
+    "heap-entry-inside-one-blossom": (6, [(1, 4), (0, 2), (2, 5), (4, 5), (4, 3), (1, 3)],
+                                      [1, 0, 0, 0, 1, 0]),
+    # an entry keyed while its far end was free is re-keyed once that end
+    # has turned S through a T-blossom that a new blossom took in
+    "heap-entry-far-end-turned-s": (6, [(1, 4), (0, 2), (2, 5), (4, 5), (4, 3), (1, 3)],
+                                    [3, 0, 1, 0, 3, 0]),
+    # an entry keyed while its far end was free is re-keyed once that end
+    # has left a T-blossom expanded mid-stage, its dual raised meanwhile
+    "heap-entry-far-end-left-t": (12, [(5, 6), (11, 0), (4, 1), (9, 6), (8, 7), (5, 10), (8, 10),
+                                       (7, 10), (3, 1), (7, 2), (9, 2), (5, 0), (2, 10), (5, 3)],
+                                  [1, 0, 0, 3, 1, 2, 1, 2, 2, 1, 3, 3, 2, 0]),
 }
 
 
@@ -459,6 +472,37 @@ def test_blossom_expansions_with_tied_weights(case):
     assert is_perfect_matching(g, got)
     best = max(sum(weight[e] for e in pm.edge_ids) for pm in perfect_matchings_brute(g))
     assert sum(weight[e] for e in got.edge_ids) == best
+
+
+def _matched_weight(weight, mate):
+    return None if mate is None else sum(weight[p >> 1] for p in mate if p & 1)
+
+
+def test_blossom_matches_the_scan_oracle():
+    # seeded multigraphs up to n = 40, odd n and missing perfect matchings
+    # included, and dense 0/1 graphs (K_16, half of K_24): on id-perturbed
+    # weights the optimum is unique, so the heap's dual step and the scan
+    # oracle return the same mates; on raw tied weights each may return
+    # another optimum, so only its weight, or None, must agree
+    rng = random.Random(37)
+    for i in range(240):
+        if i % 4 == 0:
+            n, dense = rng.choice(((16, 1.0), (24, 0.5)))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < dense]
+            ints = [rng.randint(0, 1) for _ in edges]
+        else:
+            n = rng.randint(2, 40)
+            edges = [(u, u + 1) for u in range(0, n - 1, 2)] if rng.random() < 0.75 else []
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            edges += [rng.choice(edges) for _ in range(rng.randint(0, 4))] if edges else []
+            rng.shuffle(edges)
+            ints = [rng.choice((rng.randint(0, 1), rng.randint(-4, 4))) for _ in edges]
+        ends, adj = _arc_index(n, edges)
+        m = len(edges)
+        perturbed = [(x << m) + (1 << (m - 1 - e)) for e, x in enumerate(ints)]
+        assert _blossom(ends, adj, perturbed) == blossom_scan(ends, adj, perturbed)
+        assert (_matched_weight(ints, _blossom(ends, adj, ints))
+                == _matched_weight(ints, blossom_scan(ends, adj, ints)))
 
 
 def _greedy_start_is_perfect(g: Multigraph, ints: list[int]) -> bool:
